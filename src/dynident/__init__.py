@@ -18,6 +18,7 @@ from .errors import (
     DivergenceError,
     DynidentError,
     EstimationFailureError,
+    FileFormatError,
     IllConditionedError,
     InvalidArgumentError,
     NumericDomainError,

@@ -39,6 +39,7 @@ from .causal import aipw_ate, ate_trend, latent_r2, partition_accuracy_matrix
 from .errors import (
     ConfigError,
     DynidentError,
+    FileFormatError,
     InvalidArgumentError,
     NumericDomainError,
 )
@@ -789,6 +790,9 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidArgumentError) as exc:
         _error_line("config", exc)
         return 1
+    except FileFormatError as exc:
+        _error_line("io", exc)
+        return 2
     except DynidentError as exc:
         _error_line("runtime", exc)
         return 2

@@ -51,6 +51,13 @@ class EstimationFailureError(DynidentError):
     """No usable estimate could be produced (e.g. every integration diverged)."""
 
 
+class FileFormatError(DynidentError):
+    """An input file is not in the format its loader reads (e.g. truncated).
+
+    The message names the file; the command line reports it as an I/O error.
+    """
+
+
 class DegenerateLabelsError(InvalidArgumentError):
     """A classification target contains a single class."""
 

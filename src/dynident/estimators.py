@@ -13,9 +13,19 @@ Three routes, in increasing generality and cost:
   stalls.  The objective attains exactly zero at the generating parameters
   when evaluated on a trajectory produced by the same integrator settings.
 
+There is one Levenberg-Marquardt implementation, a generator that yields
+each point it needs residuals at together with the point's forward-difference
+perturbations, so a candidate and the Jacobian there cost one evaluation.
+A small lockstep loop runs many such solvers at once, evaluating the
+pending points of all of them in one call; a single fit is that loop
+applied to a batch of one.
+
 ``benchmark_rmse`` wraps any of these in the sampled-draw protocol: draw
 parameters uniformly from the box, simulate, estimate, and report the mean
 and standard deviation of ||theta_hat - theta||_2 / sqrt(N) per system.
+Trajectory matching runs every draw of a system in lockstep, one
+``integrate_batch`` call per round; chaotic systems add restarts, all draws
+taking start j together until each is good enough.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -86,31 +96,39 @@ class EstimateReport:
 
 
 def _levenberg_marquardt(
-    residual_fn: Callable[[np.ndarray], Optional[np.ndarray]],
     theta0: np.ndarray,
     *,
-    batch_residual_fn: Optional[Callable[[np.ndarray], list]] = None,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     max_iter: int = 100,
     lam0: float = 1e-3,
     step_tol: float = 1e-10,
     decrease_tol: float = 1e-12,
-) -> tuple[np.ndarray, float, int, bool]:
+) -> Generator[np.ndarray, list, tuple[np.ndarray, float, int, bool]]:
     """Minimize ||r(theta)||^2 with damped Gauss-Newton steps.
 
-    ``residual_fn`` may return None to signal an infeasible point (e.g. a
-    diverged integration); such candidates are rejected.  The Jacobian is
-    built by forward differences, through ``batch_residual_fn`` when given
-    (one call evaluating all perturbed points at once).  Damping follows the
-    classic schedule: multiply by 10 on rejection, divide by 10 on
-    acceptance, starting from ``lam0``.
+    A generator: whenever it needs residuals it yields an (N+1, N) block
+    holding the point (the start or a candidate) followed by its N
+    forward-difference perturbations, and expects the residuals of those
+    rows sent back, None marking an infeasible row (e.g. a diverged
+    integration); infeasible candidates are rejected.  The Jacobian at a
+    candidate thus arrives with the candidate itself and goes unused if the
+    candidate is rejected.  Damping follows the classic schedule: multiply by
+    10 on rejection, divide by 10 on acceptance, starting from ``lam0``.
+    Returns ``(theta, loss, iterations, converged)``; run it with
+    :func:`_run_lockstep`.
     """
 
     def _project(th):
         return project(th) if project is not None else th
 
+    def _block(th):
+        h = 1e-7 * np.maximum(1.0, np.abs(th))
+        return h, th + np.eye(th.size + 1, th.size, k=-1) * h
+
     theta = _project(np.asarray(theta0, dtype=float).copy())
-    r = residual_fn(theta)
+    h, block = _block(theta)
+    rows = yield block
+    r = rows[0]
     if r is None:
         return theta, np.inf, 0, False
     loss = float(r @ r)
@@ -118,15 +136,8 @@ def _levenberg_marquardt(
     n_params = theta.size
 
     for iteration in range(1, max_iter + 1):
-        # Forward-difference Jacobian.
-        h = 1e-7 * np.maximum(1.0, np.abs(theta))
-        perturbed = theta[None, :] + np.diag(h)
-        if batch_residual_fn is not None:
-            r_perturbed = batch_residual_fn(perturbed)
-        else:
-            r_perturbed = [residual_fn(p) for p in perturbed]
         jac = np.zeros((r.size, n_params))
-        for i, rp in enumerate(r_perturbed):
+        for i, rp in enumerate(rows[1:]):
             if rp is not None:
                 jac[:, i] = (rp - r) / h[i]
 
@@ -145,13 +156,15 @@ def _levenberg_marquardt(
                 lam *= 10.0
                 continue
             candidate = _project(theta + step)
-            r_new = residual_fn(candidate)
+            h_new, block = _block(candidate)
+            rows_new = yield block
+            r_new = rows_new[0]
             loss_new = np.inf if r_new is None else float(r_new @ r_new)
             if loss_new <= loss:
                 actual_step = candidate - theta
                 rel_step = np.linalg.norm(actual_step) / (1.0 + np.linalg.norm(theta))
                 rel_decrease = (loss - loss_new) / max(loss, 1e-300)
-                theta, r, loss = candidate, r_new, loss_new
+                theta, r, loss, h, rows = candidate, r_new, loss_new, h_new, rows_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 if rel_step < step_tol or rel_decrease < decrease_tol:
@@ -162,6 +175,36 @@ def _levenberg_marquardt(
             return theta, loss, iteration, False
 
     return theta, loss, max_iter, False
+
+
+def _run_lockstep(
+    solvers: Sequence[Generator],
+    evaluate: Callable[[list[int], list[np.ndarray]], list[list]],
+) -> list[tuple[np.ndarray, float, int, bool]]:
+    """Run :func:`_levenberg_marquardt` generators together.
+
+    Each round collects the pending block of every unfinished solver and
+    hands them to ``evaluate(indices, blocks)`` in one call, which returns
+    the residuals of each block; each solver then gets its own back.
+    Returns the solvers' results in order.
+    """
+    results: list = [None] * len(solvers)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i, rows):
+        try:
+            pending[i] = solvers[i].send(rows)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(solvers)):
+        advance(i, None)
+    while pending:
+        indices = list(pending)
+        blocks = [pending.pop(i) for i in indices]
+        for i, rows in zip(indices, evaluate(indices, blocks)):
+            advance(i, rows)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +283,88 @@ def fit_derivative_matching(
     """
     _check_trajectory(system, trajectory)
     target = _target_derivatives(trajectory, derivs)
+    target_flat = target.reshape(-1)
     states = trajectory.states
     start = system.param_midpoint if theta0 is None else np.asarray(theta0, dtype=float)
 
-    def residual(theta):
+    def evaluate(indices, blocks):
+        thetas = blocks[0]
         with np.errstate(all="ignore"):
-            pred = system.field(theta, states)
-        if not np.all(np.isfinite(pred)):
-            return None
-        return (pred - target).reshape(-1)
+            pred = system.field(thetas[:, None, :], states).reshape(len(thetas), -1)
+        finite = np.isfinite(pred).all(axis=1)
+        diff = pred - target_flat
+        return [[d if ok else None for d, ok in zip(diff, finite)]]
 
-    def batch_residual(thetas):
-        with np.errstate(all="ignore"):
-            pred = system.field(thetas[:, None, :], states)
-        out = []
-        for row in pred:
-            out.append(row.reshape(-1) - target.reshape(-1) if np.all(np.isfinite(row)) else None)
-        return out
-
-    theta_hat, loss, iters, converged = _levenberg_marquardt(
-        residual, start, batch_residual_fn=batch_residual, max_iter=max_iter
+    [(theta_hat, loss, iters, converged)] = _run_lockstep(
+        [_levenberg_marquardt(start, max_iter=max_iter)], evaluate
     )
     return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
+
+
+def _fit_trajectories(
+    system: OdeSystem,
+    trajectories: Sequence[Trajectory],
+    starts: Sequence[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    h_int: Optional[float] = None,
+    max_iter: int = 100,
+) -> list[Optional[FitResult]]:
+    """Trajectory matching of several trajectories on one grid, in lockstep.
+
+    One Levenberg-Marquardt solver per trajectory; every round integrates
+    the pending blocks of all of them in a single :func:`integrate_batch`
+    call, each row from its own trajectory's first state.  Rows never mix,
+    so each fit is exactly what it would be alone.  Solvers that stall fall
+    back to Nelder-Mead one at a time.  A fit with no feasible evaluation
+    comes back as None.
+    """
+    grid = trajectories[0].grid
+    obs_flat = [t.states.reshape(-1) for t in trajectories]
+    x0s = np.stack([t.states[0] for t in trajectories])
+
+    def project(theta):
+        return np.clip(theta, lo, hi)
+
+    def evaluate(indices, blocks):
+        sizes = [b.shape[0] for b in blocks]
+        states, _, ok, _ = integrate_batch(
+            system, np.concatenate(blocks), np.repeat(x0s[indices], sizes, axis=0), grid, h_int
+        )
+        out, row = [], 0
+        for i, n in zip(indices, sizes):
+            out.append([
+                states[k].reshape(-1) - obs_flat[i] if ok[k] else None
+                for k in range(row, row + n)
+            ])
+            row += n
+        return out
+
+    solvers = [_levenberg_marquardt(s, project=project, max_iter=max_iter) for s in starts]
+    fits = []
+    for i, (theta_hat, loss, iters, converged) in enumerate(_run_lockstep(solvers, evaluate)):
+        if not converged:
+            def objective(theta, i=i):
+                r = evaluate([i], [np.asarray(theta, dtype=float)[None, :]])[0][0]
+                return np.inf if r is None else float(r @ r)
+
+            nm = minimize(
+                objective,
+                project(theta_hat if np.isfinite(loss) else starts[i]),
+                method="Nelder-Mead",
+                bounds=list(zip(lo, hi)),
+                options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-16, "adaptive": False},
+            )
+            if np.isfinite(nm.fun) and nm.fun < loss:
+                theta_hat = project(np.asarray(nm.x, dtype=float))
+                loss = float(nm.fun)
+                converged = bool(nm.success)
+                iters += int(nm.nit)
+        fits.append(
+            FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged) if np.isfinite(loss) else None
+        )
+    return fits
 
 
 def fit_trajectory_matching(
@@ -283,58 +386,18 @@ def fit_trajectory_matching(
     :class:`EstimationFailureError` is raised.
     """
     _check_trajectory(system, trajectory)
-    obs = trajectory.states
-    obs_flat = obs.reshape(-1)
-    x0 = obs[0]
-    grid = trajectory.grid
     lo, hi = param_box if param_box is not None else (system.param_lo, system.param_hi)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     start = 0.5 * (lo + hi) if theta0 is None else np.asarray(theta0, dtype=float)
-
-    def project(theta):
-        return np.clip(theta, lo, hi)
-
-    def batch_residual(thetas):
-        states, _, ok, _ = integrate_batch(system, thetas, x0, grid, h_int)
-        return [
-            states[i].reshape(-1) - obs_flat if ok[i] else None for i in range(thetas.shape[0])
-        ]
-
-    def residual(theta):
-        return batch_residual(np.asarray(theta, dtype=float)[None, :])[0]
-
-    theta_hat, loss, iters, converged = _levenberg_marquardt(
-        residual,
-        start,
-        batch_residual_fn=batch_residual,
-        project=project,
-        max_iter=max_iter,
+    [fit] = _fit_trajectories(
+        system, [trajectory], [start], lo, hi, h_int=h_int, max_iter=max_iter
     )
-
-    if not converged:
-        def objective(theta):
-            r = residual(theta)
-            return np.inf if r is None else float(r @ r)
-
-        nm = minimize(
-            objective,
-            project(theta_hat if np.isfinite(loss) else start),
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-16, "adaptive": False},
-        )
-        if np.isfinite(nm.fun) and nm.fun < loss:
-            theta_hat = project(np.asarray(nm.x, dtype=float))
-            loss = float(nm.fun)
-            converged = bool(nm.success)
-            iters += int(nm.nit)
-
-    if not np.isfinite(loss):
+    if fit is None:
         raise EstimationFailureError(
             f"{system.id}: every candidate integration diverged; no estimate available"
         )
-    return FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -342,51 +405,43 @@ def fit_trajectory_matching(
 # ---------------------------------------------------------------------------
 
 
-def _multistart_trajectory_fit(
+def _benchmark_trajectory_fits(
     system: OdeSystem,
-    trajectory: Trajectory,
+    trajectories: dict[int, Trajectory],
     seed: int,
-    draw_index: int,
     n_starts: int = _CHAOTIC_RESTARTS,
-) -> FitResult:
-    """Trajectory matching from the box midpoint plus uniform restarts."""
-    rng = substream(seed, "multistart", system.id, draw_index)
-    starts = [system.param_midpoint]
-    for _ in range(n_starts - 1):
-        u = rng.random(system.param_dim)
-        starts.append(system.param_lo + u * (system.param_hi - system.param_lo))
-    good_enough = 1e-10 * (1.0 + float(np.sum(trajectory.states**2)))
-    best: Optional[FitResult] = None
-    for theta0 in starts:
-        try:
-            res = fit_trajectory_matching(system, trajectory, theta0=theta0)
-        except EstimationFailureError:
-            continue
-        if best is None or res.loss_final < best.loss_final:
-            best = res
-        if best.loss_final <= good_enough:
+) -> dict[int, Optional[FitResult]]:
+    """Trajectory matching of every draw, keyed by draw index, in lockstep.
+
+    Non-chaotic systems start from the box midpoint.  Chaotic ones add
+    uniform restarts: all draws run start j together, and only the draws
+    whose best loss is still above ``good_enough`` go on to start j + 1.
+    """
+    lo, hi = system.param_lo, system.param_hi
+    if not system.chaotic:
+        n_starts = 1
+    starts = {}
+    for i in trajectories:
+        rng = substream(seed, "multistart", system.id, i)
+        starts[i] = [system.param_midpoint] + [
+            lo + rng.random(system.param_dim) * (hi - lo) for _ in range(n_starts - 1)
+        ]
+    good_enough = {
+        i: 1e-10 * (1.0 + float(np.sum(t.states**2))) for i, t in trajectories.items()
+    }
+    best: dict[int, Optional[FitResult]] = {i: None for i in trajectories}
+    active = list(trajectories)
+    for j in range(n_starts):
+        if not active:
             break
-    if best is None:
-        raise EstimationFailureError(f"{system.id}: all restarts failed")
+        fits = _fit_trajectories(
+            system, [trajectories[i] for i in active], [starts[i][j] for i in active], lo, hi
+        )
+        for i, fit in zip(active, fits):
+            if fit is not None and (best[i] is None or fit.loss_final < best[i].loss_final):
+                best[i] = fit
+        active = [i for i in active if best[i] is None or best[i].loss_final > good_enough[i]]
     return best
-
-
-def _fit_for_benchmark(
-    system: OdeSystem,
-    trajectory: Trajectory,
-    method: str,
-    seed: int,
-    draw_index: int,
-) -> FitResult:
-    if method == METHOD_CLOSED:
-        return fit_closed_form(system, trajectory)
-    if method == METHOD_DERIV:
-        return fit_derivative_matching(system, trajectory)
-    if method == METHOD_TRAJ:
-        if system.chaotic:
-            return _multistart_trajectory_fit(system, trajectory, seed, draw_index)
-        return fit_trajectory_matching(system, trajectory)
-    raise InvalidArgumentError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def benchmark_rmse(
@@ -412,6 +467,8 @@ def benchmark_rmse(
     Everything is a pure function of the arguments: the same call returns
     identical reports (wall time aside) at any ``threads`` setting, since
     draws are independent and results are reduced in draw order.
+    ``threads`` spreads closed and deriv fits over a pool; trajectory
+    matching fits all draws in lockstep and does not use it.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -438,26 +495,39 @@ def benchmark_rmse(
             noise * noise_rng.standard_normal(states_b.shape) if noise > 0 else None
         )
 
-        def fit_one(i: int) -> Optional[float]:
-            if not ok[i]:
-                return None
+        def trajectory(i: int) -> Trajectory:
             if noise_draws is None:
-                traj = Trajectory(system.id, grid, states_b[i], derivs=derivs_b[i])
-            else:
-                noisy = states_b[i] + noise_draws[i]
-                traj = Trajectory(system.id, grid, noisy)
-                traj.derivs = estimate_derivatives(traj)
-            try:
-                res = _fit_for_benchmark(system, traj, method, seed, i)
-            except (IllConditionedError, EstimationFailureError):
-                return None
-            return float(np.linalg.norm(res.theta_hat - thetas[i]) / np.sqrt(system.param_dim))
+                return Trajectory(system.id, grid, states_b[i], derivs=derivs_b[i])
+            traj = Trajectory(system.id, grid, states_b[i] + noise_draws[i])
+            traj.derivs = estimate_derivatives(traj)
+            return traj
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fit_one, range(n_draws)))
+        def rmse(i: int, fit: Optional[FitResult]) -> Optional[float]:
+            if fit is None:
+                return None
+            return float(np.linalg.norm(fit.theta_hat - thetas[i]) / np.sqrt(system.param_dim))
+
+        if method == METHOD_TRAJ:
+            fits = _benchmark_trajectory_fits(
+                system, {i: trajectory(i) for i in range(n_draws) if ok[i]}, seed
+            )
+            results = [rmse(i, fits.get(i)) for i in range(n_draws)]
         else:
-            results = [fit_one(i) for i in range(n_draws)]
+            fit_fn = fit_closed_form if method == METHOD_CLOSED else fit_derivative_matching
+
+            def fit_one(i: int) -> Optional[float]:
+                if not ok[i]:
+                    return None
+                try:
+                    return rmse(i, fit_fn(system, trajectory(i)))
+                except (IllConditionedError, EstimationFailureError):
+                    return None
+
+            if threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    results = list(pool.map(fit_one, range(n_draws)))
+            else:
+                results = [fit_one(i) for i in range(n_draws)]
 
         rmses = np.array([r for r in results if r is not None])
         n_failures = sum(1 for r in results if r is None)

@@ -36,6 +36,7 @@ from . import autodiff as ad
 from .autodiff import MlpParams, Tensor
 from .errors import (
     ConfigError,
+    FileFormatError,
     InvalidArgumentError,
     NumericDomainError,
     TrainingDivergedError,
@@ -297,12 +298,15 @@ def save_dataset(path, dataset: MultiviewDataset) -> None:
 
 def load_dataset(path) -> MultiviewDataset:
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "multiview-dataset":
-            raise InvalidArgumentError(f"{path}: not a multiview dataset file")
-        rows = [json.loads(line) for line in fh if line.strip()]
+        try:
+            header = json.loads(fh.readline())
+            rows = [json.loads(line) for line in fh if line.strip()]
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"{path}: not a JSON-lines dataset file ({exc})") from exc
+    if not isinstance(header, dict) or header.get("kind") != "multiview-dataset":
+        raise InvalidArgumentError(f"{path}: not a multiview dataset file")
     if len(rows) != header["n_pairs"]:
-        raise InvalidArgumentError(
+        raise FileFormatError(
             f"{path}: expected {header['n_pairs']} pair records, found {len(rows)}"
         )
     g = header["grid"]
@@ -838,7 +842,10 @@ def save_identifier(path, model: IdentifierModel) -> None:
 
 def load_identifier(path) -> IdentifierModel:
     with open(path) as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"{path}: not a JSON model file ({exc})") from exc
     cfg_raw = dict(rec["config"])
     cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
     config = IdentifierConfig(**cfg_raw)

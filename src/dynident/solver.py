@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.fft import dct as _dct, idct as _idct
 
-from .errors import DivergenceError, InvalidArgumentError
+from .errors import DivergenceError, FileFormatError, InvalidArgumentError
 from .systems import OdeSystem, get_system
 
 #: Euclidean state norm beyond which integration is declared divergent.
@@ -344,13 +344,12 @@ def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 
 def load_trajectories(path) -> list[Trajectory]:
     """Read trajectories written by :func:`save_trajectories`."""
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(_trajectory_from_record(json.loads(line)))
-    return out
+        try:
+            records = [json.loads(line) for line in fh if line.strip()]
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"{path}: not a JSON-lines trajectory file ({exc})") from exc
+    return [_trajectory_from_record(rec) for rec in records]
 
 
 __all__ = [

@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from dynident.cli import (
     Opt,
     _REPORT_COLUMNS,
+    _SCHEMAS,
+    _build_parser,
     _sci1,
     emit_report,
     main,
@@ -367,6 +372,31 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert "dynident: io:" in capsys.readouterr().err
 
 
+def test_truncated_data_file_exits_2_with_one_line(tmp_path, capsys):
+    data = tmp_path / "pairs.jsonl"
+    assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "120",
+                 "--seed", "7", "--grid-points", "20", "--out", str(data)]) == 0
+    data.write_bytes(data.read_bytes()[:20_000])
+    capsys.readouterr()
+    rc = main(["train-mv", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("dynident: io: ") and str(data) in err
+
+
+def test_dataset_given_as_model_exits_2(tmp_path, capsys):
+    data = tmp_path / "pairs.jsonl"
+    assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "4",
+                 "--seed", "7", "--grid-points", "20", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(data), "--data", str(data),
+               "--report", str(tmp_path / "e.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("dynident: io: ")
+
+
 def test_threads_env_mirror_and_flag(tmp_path, monkeypatch):
     out = tmp_path / "b.csv"
     monkeypatch.setenv("DYNIDENT_THREADS", "2")
@@ -400,3 +430,21 @@ def test_bench_threading_agrees_with_sequential(tmp_path):
     assert main(base + ["--threads", "1", "--out", str(a)]) == 0
     assert main(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_commands_parse():
+    """Every ``dynident ...`` command in the README parses and resolves its config.
+
+    Nothing is run, so flag drift between the README and the parser fails
+    in milliseconds.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln.strip() for ln in readme.splitlines() if ln.strip().startswith("dynident ")]
+    lines += re.findall(r"`(dynident [^`]+)`", readme)
+    assert len(lines) >= 5
+    parser = _build_parser()
+    for line in lines:
+        namespace = parser.parse_args(shlex.split(line)[1:])
+        schema = _SCHEMAS[namespace.command]
+        overrides = {k: v for k, v in vars(namespace).items() if k in schema}
+        parse_config(namespace.command, schema, overrides=overrides)

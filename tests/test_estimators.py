@@ -5,6 +5,7 @@ import pytest
 
 from dynident import (
     CATALOG,
+    EstimationFailureError,
     IllConditionedError,
     InvalidArgumentError,
     TimeGrid,
@@ -13,14 +14,17 @@ from dynident import (
     estimate_derivatives,
     get_system,
     integrate,
+    integrate_batch,
 )
 from dynident.estimators import (
     EstimateReport,
+    _benchmark_trajectory_fits,
     benchmark_rmse,
     fit_closed_form,
     fit_derivative_matching,
     fit_trajectory_matching,
 )
+from dynident.seeding import substream
 from dynident.systems import OdeSystem, sample_parameters
 
 
@@ -236,3 +240,103 @@ def test_benchmark_multistart_on_chaotic_system():
     rep = benchmark_rmse(["ode56"], 2, "traj", seed=23)[0]
     assert rep.n_failures == 0
     assert rep.rmse_mean <= 0.5
+
+
+def _best_of_starts(s, traj, seed, draw_index):
+    """The benchmark's trajectory fit of one draw, one public fit per start."""
+    starts = [s.param_midpoint]
+    if s.chaotic:
+        rng = substream(seed, "multistart", s.id, draw_index)
+        starts += [s.param_lo + rng.random(s.param_dim) * (s.param_hi - s.param_lo)
+                   for _ in range(4)]
+    good_enough = 1e-10 * (1.0 + float(np.sum(traj.states**2)))
+    best = None
+    for theta0 in starts:
+        try:
+            fit = fit_trajectory_matching(s, traj, theta0=theta0)
+        except EstimationFailureError:
+            continue
+        if best is None or fit.loss_final < best.loss_final:
+            best = fit
+        if best.loss_final <= good_enough:
+            break
+    return best
+
+
+def _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, grid_points):
+    """The traj benchmark protocol, fitting one draw at a time."""
+    s = get_system(sid)
+    thetas = np.stack([d.theta for d in sample_parameters(s, n_draws, seed)])
+    grid = TimeGrid.uniform(0.0, s.t_max, grid_points)
+    states, _, ok, _ = integrate_batch(s, thetas, s.x0, grid)
+    if noise > 0:
+        states = states + noise * substream(seed, "noise", s.id).standard_normal(states.shape)
+    rmses, failures = [], 0
+    for i in range(n_draws):
+        best = _best_of_starts(s, Trajectory(s.id, grid, states[i]), seed, i) if ok[i] else None
+        if best is None:
+            failures += 1
+        else:
+            rmses.append(np.linalg.norm(best.theta_hat - thetas[i]) / np.sqrt(s.param_dim))
+    rmses = np.array(rmses)
+    return float(rmses.mean()), float(rmses.std()), failures
+
+
+@pytest.mark.parametrize(
+    "sid, n_draws, seed, noise",
+    [
+        ("ode3", 3, 11, 0.0),
+        ("ode63", 3, 11, 0.0),
+        ("ode63", 3, 11, 1e-3),
+        ("ode56", 2, 23, 0.0),
+        ("blowup_traj", 8, 2, 0.0),
+    ],
+)
+def test_lockstep_traj_benchmark_matches_one_fit_at_a_time(sid, n_draws, seed, noise):
+    """Lockstep fitting of all draws gives bit-identical reports.
+
+    ``blowup_traj`` diverges for theta > 1/3, so some draws fail to simulate
+    and some candidate rows diverge inside a lockstep batch.
+    """
+    blowup = OdeSystem(
+        id="blowup_traj",
+        name="blow-up probe for trajectory matching",
+        state_dim=1,
+        param_dim=1,
+        field=lambda th, x: th[..., 0:1] * x**2,
+        param_lo=np.array([0.01]),
+        param_hi=np.array([0.5]),
+        x0=[1.0],
+        t_max=3.0,
+    )
+    CATALOG[blowup.id] = blowup
+    try:
+        rep = benchmark_rmse([sid], n_draws, "traj", seed, noise=noise, grid_points=20)[0]
+        expected = _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, 20)
+    finally:
+        del CATALOG[blowup.id]
+    got = (rep.rmse_mean, rep.rmse_std, rep.n_failures)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+    if sid == blowup.id:
+        assert 0 < rep.n_failures < n_draws
+
+
+def test_lockstep_restarts_continue_only_unfinished_draws():
+    """Draws that are good enough stop; the rest take the next start together.
+
+    Noise-free Lorenz draws end at the first start while a noisy one runs
+    all five, so later rounds hold a subset of the draws.
+    """
+    s = get_system("ode56")
+    grid = TimeGrid.uniform(0.0, s.t_max, 20)
+    thetas = np.stack([d.theta for d in sample_parameters(s, 3, seed=4)])
+    states, _, ok, _ = integrate_batch(s, thetas, s.x0, grid)
+    assert ok.all()
+    states[1] += 1e-3 * np.random.default_rng(0).standard_normal(states[1].shape)
+    trajs = {i: Trajectory(s.id, grid, states[i]) for i in range(3)}
+    got = _benchmark_trajectory_fits(s, trajs, seed=4)
+    for i, traj in trajs.items():
+        want = _best_of_starts(s, traj, 4, i)
+        assert got[i].theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert (got[i].loss_final, got[i].iterations, got[i].converged) == (
+            want.loss_final, want.iterations, want.converged)

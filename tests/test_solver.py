@@ -5,6 +5,7 @@ import pytest
 
 from dynident import (
     DivergenceError,
+    FileFormatError,
     InvalidArgumentError,
     TimeGrid,
     Trajectory,
@@ -17,7 +18,7 @@ from dynident import (
     load_trajectories,
     save_trajectories,
 )
-from dynident.systems import OdeSystem
+from dynident.systems import CATALOG, OdeSystem, sample_parameters
 
 
 def _dct2_direct(x):
@@ -136,6 +137,39 @@ def test_integrate_batch_masks_divergent_rows():
     assert np.isnan(states[1, -1, 0])
     assert 0.9 <= bad_t[1] <= 1.2
     assert np.isnan(bad_t[0])
+
+
+@pytest.mark.parametrize("system_id", sorted(CATALOG))
+def test_integrate_batch_rows_are_independent(system_id):
+    """A row integrates bit-for-bit the same alone as inside any batch.
+
+    Lockstep estimation relies on this: it packs rows of many fits into one
+    call.  The mixed batch differs in size, gives each row its own x0, and
+    holds rows that trip the overflow guard (at t0, and mid-run through a
+    non-finite parameter) and so get parked while the others go on.
+    """
+    s = get_system(system_id)
+    grid = TimeGrid.uniform(0.0, s.t_max, 12)
+    thetas = np.stack([d.theta for d in sample_parameters(s, 4, seed=41)])
+    rng = np.random.default_rng(8)
+    x0s = s.x0 * (1.0 + 0.1 * rng.random((4, s.state_dim)))
+    target = (thetas[0], x0s[0])
+    rows = [
+        (thetas[1], x0s[1]),
+        target,
+        (thetas[2], np.full(s.state_dim, 1e9)),
+        (np.full(s.param_dim, np.nan), x0s[2]),
+        (thetas[3], x0s[3]),
+        target,
+    ]
+    batch_states, _, batch_ok, _ = integrate_batch(
+        s, np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]), grid
+    )
+    alone_states, _, alone_ok, _ = integrate_batch(s, target[0][None], target[1][None], grid)
+    assert batch_ok.tolist()[2:4] == [False, False]
+    for k in (1, 5):
+        assert batch_ok[k] == alone_ok[0]
+        assert batch_states[k].tobytes() == alone_states[0].tobytes()
 
 
 def test_grid_points_hit_exactly():
@@ -266,3 +300,12 @@ def test_trajectory_roundtrip_without_optional_fields(tmp_path):
     got = load_trajectories(path)[0]
     assert got.derivs is None and got.theta_truth is None
     np.testing.assert_array_equal(got.states, traj.states)
+
+
+def test_truncated_trajectory_file_names_the_path(tmp_path):
+    s = get_system("ode56")
+    path = tmp_path / "trajs.jsonl"
+    save_trajectories(path, [integrate(s, np.array([10.0, 28.0, 8.0 / 3.0]))])
+    path.write_bytes(path.read_bytes()[:500])
+    with pytest.raises(FileFormatError, match="trajs.jsonl"):
+        load_trajectories(path)
