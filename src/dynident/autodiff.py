@@ -1,10 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense arrays.
 
-Just enough machinery to train the multiview identifier: tensors holding
-flat float64 buffers, a dozen differentiable operations, topological-sort
-backpropagation, Glorot-initialized MLPs and bias-corrected Adam.  No
-general broadcasting, no views, no higher-order gradients — every operation
-states exactly what shapes it accepts.
+Tensors holding flat float64 buffers, a dozen differentiable operations,
+topological-sort backpropagation, Glorot-initialized MLPs, bias-corrected
+Adam and a finite-difference gradient check.  No general broadcasting, no
+views, no higher-order gradients — every operation states exactly what
+shapes it accepts.
+
+The multiview identifier keeps its parameters as this module's tensors and
+trains them with :func:`adam_step`, but computes its gradients in closed
+form without the tape (see :mod:`dynident.multiview`); tests build the same
+loss from these operations as the reference for those gradients.
 
 Determinism: all computation is plain single-threaded numpy with a fixed
 reduction order, so repeated runs from the same seed are bit-identical.
@@ -409,7 +414,13 @@ def adam_step(
     params: Sequence[Tensor],
     grads: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[Sequence[Tensor], AdamState]:
-    """One update in place; returns (params, state) for convenience."""
+    """One update in place; returns (params, state) for convenience.
+
+    Every element gets m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / bias1) / (sqrt(v / bias2) + eps), with in-place
+    operations in that order, so one tensor holding many parameters is
+    updated exactly as those parameters would be one tensor each.
+    """
     if grads is None:
         grads = [p.grad for p in params]
     if len(grads) != len(state.m):
@@ -421,11 +432,21 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g is None:
             raise InvalidArgumentError("adam_step: missing gradient (call backward first)")
+        g = np.asarray(g, dtype=float)
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        v += step
+        denom = np.divide(v, bias2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bias1, out=step)
+        step *= state.lr
+        step /= denom
+        p.data -= step
     return params, state
 
 
@@ -440,18 +461,31 @@ def gradient_check(
     h: float = 1e-5,
     max_coords: int = 200,
     seed: int = 0,
+    grads: Optional[Sequence[np.ndarray]] = None,
 ) -> float:
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between analytic gradients and central finite differences.
 
     ``loss_fn`` must rebuild the graph (deterministically) on every call and
-    return a scalar tensor.  At most ``max_coords`` coordinates are probed,
-    sampled uniformly without replacement across all parameters.  The
-    relative error of a coordinate is |ad - fd| / max(|ad|, |fd|, 1e-6).
+    return a scalar tensor, whose backpropagation gives the analytic
+    gradients.  Code that differentiates without the graph passes its
+    gradients as ``grads`` (one array per parameter, in the order of
+    ``params``); ``loss_fn`` may then return a plain float.  At most
+    ``max_coords`` coordinates are probed, sampled uniformly without
+    replacement across all parameters.  The relative error of a coordinate
+    is |ad - fd| / max(|ad|, |fd|, 1e-6).
     """
-    zero_grad(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
+    if grads is None:
+        zero_grad(params)
+        backward(loss_fn())
+        analytic = [p.grad.copy() for p in params]
+    else:
+        if len(grads) != len(params):
+            raise InvalidArgumentError("gradient_check: need one gradient per parameter")
+        analytic = [np.asarray(g, dtype=float).reshape(-1) for g in grads]
+
+    def value() -> float:
+        loss = loss_fn()
+        return loss.item() if isinstance(loss, Tensor) else float(loss)
 
     coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
     rng = substream(seed, "gradient-check")
@@ -464,9 +498,9 @@ def gradient_check(
         p = params[i]
         keep = p.data[j]
         p.data[j] = keep + h
-        up = loss_fn().item()
+        up = value()
         p.data[j] = keep - h
-        down = loss_fn().item()
+        down = value()
         p.data[j] = keep
         fd = (up - down) / (2.0 * h)
         ad = analytic[i][j]

@@ -301,6 +301,23 @@ def fit_derivative_matching(
     return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
 
 
+class _NoFeasiblePoint(Exception):
+    """Nelder-Mead has found no feasible point and can no longer move."""
+
+
+def _blind_nelder_mead_budget(simplex: np.ndarray, xatol: float) -> int:
+    """Evaluations after which a Nelder-Mead search that has seen only
+    infinite values, from its initial ``simplex`` on, lies within ``xatol``.
+
+    With every value infinite no comparison succeeds, so each iteration
+    evaluates a reflection and an inside contraction, then halves the
+    simplex toward its best vertex and evaluates the N others there.
+    """
+    spread = float(np.ptp(simplex, axis=0).max())
+    halvings = int(np.ceil(np.log2(spread / xatol))) if spread > xatol else 0
+    return len(simplex) + halvings * (len(simplex) + 1)
+
+
 def _fit_trajectories(
     system: OdeSystem,
     trajectories: Sequence[Trajectory],
@@ -317,8 +334,9 @@ def _fit_trajectories(
     the pending blocks of all of them in a single :func:`integrate_batch`
     call, each row from its own trajectory's first state.  Rows never mix,
     so each fit is exactly what it would be alone.  Solvers that stall fall
-    back to Nelder-Mead one at a time.  A fit with no feasible evaluation
-    comes back as None.
+    back to Nelder-Mead one at a time; Nelder-Mead gives up once it has
+    found no feasible point and its simplex has shrunk within its ``xatol``.
+    A fit with no feasible evaluation comes back as None.
     """
     grid = trajectories[0].grid
     obs_flat = [t.states.reshape(-1) for t in trajectories]
@@ -342,21 +360,39 @@ def _fit_trajectories(
         return out
 
     solvers = [_levenberg_marquardt(s, project=project, max_iter=max_iter) for s in starts]
+    n_vertices, xatol = lo.size + 1, 1e-10
     fits = []
     for i, (theta_hat, loss, iters, converged) in enumerate(_run_lockstep(solvers, evaluate)):
         if not converged:
-            def objective(theta, i=i):
-                r = evaluate([i], [np.asarray(theta, dtype=float)[None, :]])[0][0]
-                return np.inf if r is None else float(r @ r)
+            infeasible = []  # the points evaluated before any feasible one
+            found = []  # holds True once a point was feasible
 
-            nm = minimize(
-                objective,
-                project(theta_hat if np.isfinite(loss) else starts[i]),
-                method="Nelder-Mead",
-                bounds=list(zip(lo, hi)),
-                options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-16, "adaptive": False},
-            )
-            if np.isfinite(nm.fun) and nm.fun < loss:
+            def objective(theta, i=i, infeasible=infeasible, found=found):
+                theta = np.array(theta, dtype=float)
+                r = evaluate([i], [theta[None, :]])[0][0]
+                if r is not None:
+                    found[:] = [True]
+                    return float(r @ r)
+                if not found:
+                    infeasible.append(theta)
+                    n = len(infeasible)
+                    if n >= n_vertices and n == _blind_nelder_mead_budget(
+                        np.stack(infeasible[:n_vertices]), xatol
+                    ):
+                        raise _NoFeasiblePoint
+                return np.inf
+
+            try:
+                nm = minimize(
+                    objective,
+                    project(theta_hat if np.isfinite(loss) else starts[i]),
+                    method="Nelder-Mead",
+                    bounds=list(zip(lo, hi)),
+                    options={"maxiter": 2000, "xatol": xatol, "fatol": 1e-16, "adaptive": False},
+                )
+            except _NoFeasiblePoint:
+                nm = None
+            if nm is not None and np.isfinite(nm.fun) and nm.fun < loss:
                 theta_hat = project(np.asarray(nm.x, dtype=float))
                 loss = float(nm.fun)
                 converged = bool(nm.success)

@@ -19,8 +19,13 @@ Trajectories are compressed with an orthonormal DCT before encoding; all
 encoder/decoder inputs and targets are standardized with statistics frozen
 at model-building time.  Two decoder styles are available: ``direct``
 (an MLP emits the whole standardized trajectory) and ``field`` (an MLP is a
-latent-conditioned vector field integrated with RK4 inside the autodiff
-graph).
+latent-conditioned vector field rolled out with RK4, one step per grid
+interval).
+
+Training uses no autodiff tape.  The loss and its gradient are written out
+in closed form, with the views' networks stacked so that one batched matmul
+serves every view.  For the field decoder, the gradient comes from a
+hand-written reverse pass through the four RK4 stages of each step.
 """
 
 from __future__ import annotations
@@ -296,6 +301,21 @@ def save_dataset(path, dataset: MultiviewDataset) -> None:
             fh.write("\n")
 
 
+_DATASET_KEYS = ("system_id", "shared_param_indices", "grid", "n_views", "n_pairs", "labeled")
+_MODEL_KEYS = (
+    "config", "system_id", "shared_param_indices", "grid", "prep", "encoders", "decoders"
+)
+
+
+def _check_record(path, rec, keys: Sequence[str], what: str) -> None:
+    """Raise :class:`FileFormatError` unless ``rec`` is an object holding ``keys``."""
+    if not isinstance(rec, dict):
+        raise FileFormatError(f"{path}: not a {what} (expected a JSON object)")
+    missing = [k for k in keys if k not in rec]
+    if missing:
+        raise FileFormatError(f"{path}: not a {what} (missing {', '.join(missing)})")
+
+
 def load_dataset(path) -> MultiviewDataset:
     with open(path) as fh:
         try:
@@ -303,29 +323,36 @@ def load_dataset(path) -> MultiviewDataset:
             rows = [json.loads(line) for line in fh if line.strip()]
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: not a JSON-lines dataset file ({exc})") from exc
-    if not isinstance(header, dict) or header.get("kind") != "multiview-dataset":
-        raise InvalidArgumentError(f"{path}: not a multiview dataset file")
+    _check_record(path, header, ("kind",) + _DATASET_KEYS, "multiview dataset file")
+    if header["kind"] != "multiview-dataset":
+        raise FileFormatError(f"{path}: not a multiview dataset file (kind {header['kind']!r})")
     if len(rows) != header["n_pairs"]:
         raise FileFormatError(
             f"{path}: expected {header['n_pairs']} pair records, found {len(rows)}"
         )
-    g = header["grid"]
-    # Pair records carry view-major arrays; stack back to (n_views, n, ...).
-    states = np.stack([np.asarray(r["states"], dtype=float) for r in rows], axis=1)
-    thetas = np.stack([np.asarray(r["thetas"], dtype=float) for r in rows], axis=1)
-    x0s = np.stack([np.asarray(r["x0s"], dtype=float) for r in rows], axis=1)
-    labels = None
-    if header["labeled"]:
-        labels = np.array([int(r["label"]) for r in rows])
-    return MultiviewDataset(
-        system_id=header["system_id"],
-        shared_param_indices=tuple(header["shared_param_indices"]),
-        grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
-        states=states,
-        thetas=thetas,
-        x0s=x0s,
-        labels=labels,
-    )
+    pair_keys = ("states", "thetas", "x0s") + (("label",) if header["labeled"] else ())
+    for i, r in enumerate(rows):
+        _check_record(path, r, pair_keys, f"multiview dataset file: pair record {i}")
+    try:
+        g = header["grid"]
+        # Pair records carry view-major arrays; stack back to (n_views, n, ...).
+        states = np.stack([np.asarray(r["states"], dtype=float) for r in rows], axis=1)
+        thetas = np.stack([np.asarray(r["thetas"], dtype=float) for r in rows], axis=1)
+        x0s = np.stack([np.asarray(r["x0s"], dtype=float) for r in rows], axis=1)
+        labels = None
+        if header["labeled"]:
+            labels = np.array([int(r["label"]) for r in rows])
+        return MultiviewDataset(
+            system_id=header["system_id"],
+            shared_param_indices=tuple(header["shared_param_indices"]),
+            grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
+            states=states,
+            thetas=thetas,
+            x0s=x0s,
+            labels=labels,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed multiview dataset file ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +431,7 @@ class IdentifierModel:
 
 def _encoder_features(states: np.ndarray, keep_fraction: float) -> np.ndarray:
     """(n, T, d) trajectories -> (n, F) truncated-DCT features, time-major."""
-    n = states.shape[0]
-    rows = [dct_truncate(states[i], keep_fraction).reshape(-1) for i in range(n)]
-    return np.stack(rows, axis=0)
+    return dct_truncate(states, keep_fraction).reshape(states.shape[0], -1)
 
 
 def _aux_features(states: np.ndarray, n_init: int) -> np.ndarray:
@@ -425,6 +450,14 @@ def _stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = rows.mean(axis=0)
     std = np.maximum(rows.std(axis=0), _STD_FLOOR)
     return mean, std
+
+
+def _decoder_dims(config: IdentifierConfig, t_pts: int, d: int) -> tuple[int, int]:
+    """The decoder's input and output widths for ``t_pts`` grid points of
+    ``d``-dimensional states."""
+    if config.decoder == "direct":
+        return config.layout.latent_dim + config.n_init * d, t_pts * d
+    return config.layout.latent_dim + d, d  # latent-conditioned vector field
 
 
 def build_identifier(
@@ -472,12 +505,7 @@ def build_identifier(
                 rng=substream(seed, "mv-init", "encoder", v),
             )
         )
-        if config.decoder == "direct":
-            dec_in = layout.latent_dim + config.n_init * d
-            dec_out = t_pts * d
-        else:  # latent-conditioned vector field
-            dec_in = layout.latent_dim + d
-            dec_out = d
+        dec_in, dec_out = _decoder_dims(config, t_pts, d)
         decoders.append(
             ad.mlp_init(
                 dec_in,
@@ -507,19 +535,271 @@ def model_parameters(model: IdentifierModel) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Forward paths.
+# Stacked networks: every view's parameters in one buffer.
 # ---------------------------------------------------------------------------
 
 
-def _numpy_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Inference-only forward pass without building a graph."""
-    act = (lambda z: np.maximum(z, 0.0)) if params.activation == "relu" else np.tanh
-    h = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.view() + b.view()
-        if i != params.depth - 1:
-            h = act(h)
-    return h
+@dataclass
+class _Stack:
+    """One MLP per view, each layer's parameters stacked along a leading view axis.
+
+    ``weights[i]`` is (V, fan_in, fan_out) and ``biases[i]`` is (V, fan_out),
+    so a (V, B, fan_in) batch goes through layer i of every view in one
+    batched matmul.
+    """
+
+    weights: list
+    biases: list
+    activation: str
+
+    @classmethod
+    def of(cls, params: MlpParams) -> "_Stack":
+        """One network as a stack of a single view."""
+        return cls(
+            [w.view()[None] for w in params.weights],
+            [b.view()[None] for b in params.biases],
+            params.activation,
+        )
+
+
+class _FlatParams:
+    """Every encoder and decoder parameter of a model in one flat float64 buffer.
+
+    The buffer runs layer by layer, encoders first: a layer's weights for all
+    views as one (V, fan_in, fan_out) block, then its biases as (V, fan_out).
+    :meth:`stacks` views any buffer of this layout (parameters or gradient) as
+    an encoder and a decoder :class:`_Stack`.  ``tensor`` holds a copy of the
+    model's values, so Adam updates all of them with a few whole-buffer
+    operations; :meth:`bind` turns the model's tensors into views of it.
+    """
+
+    def __init__(self, model: IdentifierModel):
+        self._activation = model.config.activation
+        self._n_enc = 2 * model.encoders[0].depth
+        self._blocks = []  # (offset, stacked shape)
+        self._slices = {}  # id(tensor) -> its slice of the buffer
+        offset = 0
+        for nets in (model.encoders, model.decoders):
+            for group in zip(*(ad.mlp_parameters(net) for net in nets)):
+                if any(t.shape != group[0].shape for t in group):
+                    raise InvalidArgumentError("the views' networks differ in shape")
+                self._blocks.append((offset, (len(group),) + group[0].shape))
+                for t in group:
+                    self._slices[id(t)] = slice(offset, offset + t.data.size)
+                    offset += t.data.size
+        self._params = model_parameters(model)
+        values = np.empty(offset)
+        for t in self._params:
+            values[self._slices[id(t)]] = t.data
+        self.tensor = Tensor(values, requires_grad=True)
+
+    def stacks(self, buf: np.ndarray) -> tuple[_Stack, _Stack]:
+        arrays = [buf[o : o + int(np.prod(shape))].reshape(shape) for o, shape in self._blocks]
+        enc, dec = arrays[: self._n_enc], arrays[self._n_enc :]
+        return (
+            _Stack(enc[0::2], enc[1::2], self._activation),
+            _Stack(dec[0::2], dec[1::2], self._activation),
+        )
+
+    def bind(self) -> None:
+        for t in self._params:
+            t.data = self.tensor.data[self._slices[id(t)]]
+
+    def split(self, buf: np.ndarray) -> list:
+        """Per-tensor pieces of ``buf``, in :func:`model_parameters` order."""
+        return [buf[self._slices[id(t)]] for t in self._params]
+
+
+def _activate(a: np.ndarray, activation: str) -> None:
+    """Apply the hidden-layer activation to ``a`` in place."""
+    if activation == "tanh":
+        np.tanh(a, out=a)
+    else:
+        np.maximum(a, 0.0, out=a)
+
+
+def _derivative(h: np.ndarray, activation: str, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The activation's derivative, from its output ``h``: 1 - h² for tanh,
+    the mask h > 0 for relu (zero at the kink)."""
+    if activation == "tanh":
+        out = np.multiply(h, h, out=out)
+        return np.subtract(1.0, out, out=out)
+    return np.greater(h, 0.0, out=out)
+
+
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """(V, fan_in, fan_out) -> contiguous (V, fan_out, fan_in).
+
+    A batched matmul against the contiguous copy runs about twice as fast
+    as against a transposed view.
+    """
+    return np.ascontiguousarray(np.swapaxes(w, 1, 2))
+
+
+def _mlp_forward(net: _Stack, x: np.ndarray, saved: Optional[list] = None) -> np.ndarray:
+    """(V, B, fan_in) -> (V, B, fan_out) through every view's network at once.
+
+    With ``saved``, appends each layer's input for :func:`_mlp_backward`.
+    """
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if saved is not None:
+            saved.append(x)
+        x = np.matmul(x, w)
+        x += b[:, None, :]
+        if i != last:
+            _activate(x, net.activation)
+    return x
+
+
+def _mlp_backward(
+    net: _Stack, grad: _Stack, saved: list, g: np.ndarray, input_cols: Optional[slice] = None
+) -> Optional[np.ndarray]:
+    """Vector-Jacobian product of :func:`_mlp_forward` for d loss / d output ``g``.
+
+    Writes every layer's weight and bias gradient into ``grad`` and returns
+    d loss / d input, restricted to ``input_cols`` (None: not needed).
+    """
+    for i in reversed(range(len(net.weights))):
+        np.matmul(np.swapaxes(saved[i], 1, 2), g, out=grad.weights[i])
+        g.sum(axis=1, out=grad.biases[i])
+        if i == 0:
+            break
+        g = np.matmul(g, _transposed(net.weights[i]))
+        g *= _derivative(saved[i], net.activation)
+    if input_cols is None:
+        return None
+    return np.matmul(g, _transposed(net.weights[0][:, input_cols]))
+
+
+def _field_mlp(
+    dec: _Stack,
+    x: np.ndarray,
+    c: np.ndarray,
+    hidden: Sequence[np.ndarray] = (),
+    derivs: Sequence[np.ndarray] = (),
+) -> np.ndarray:
+    """The field MLP at states x (V, R, d), given the latent part c (V, R, H)
+    of its first layer; returns the field (V, R, d).
+
+    With ``hidden`` and ``derivs`` (one buffer per hidden layer), the hidden
+    layers' outputs and their activation derivatives are written there.
+    """
+    a = np.matmul(x, dec.weights[0][:, -x.shape[2] :], out=hidden[0] if hidden else None)
+    a += c
+    for i in range(1, len(dec.weights)):
+        _activate(a, dec.activation)
+        if derivs:
+            _derivative(a, dec.activation, out=derivs[i - 1])
+        a = np.matmul(a, dec.weights[i], out=hidden[i] if i < len(hidden) else None)
+        a += dec.biases[i][:, None, :]
+    return a
+
+
+def _field_rollout(
+    dec: _Stack, z: np.ndarray, x0: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 rollout, one step per grid interval, of the field x' = MLP([z, x]).
+
+    z (V, B, L) and standardized x0 (V, B, d) -> the trajectory (V, B, T, d)
+    and the states the four stages of each step evaluate the field at,
+    (V, T - 1, 4, B, d), for :func:`_field_backward`.  The latent part of
+    the first layer, z @ W0[:L] + b0, is the same at every stage, so it is
+    computed once.
+    """
+    n_views, batch, d = x0.shape
+    c = np.matmul(z, dec.weights[0][:, : z.shape[2]])
+    c += dec.biases[0][:, None, :]
+    traj = np.empty((n_views, batch, len(steps) + 1, d))
+    traj[:, :, 0] = x0
+    stages = np.empty((n_views, len(steps), 4, batch, d))
+    x = traj[:, :, 0]
+    for n, h in enumerate(steps):
+        s = stages[:, n]
+        s[:, 0] = x
+        k1 = _field_mlp(dec, s[:, 0], c)
+        k2 = _field_mlp(dec, np.add(x, k1 * (0.5 * h), out=s[:, 1]), c)
+        k3 = _field_mlp(dec, np.add(x, k2 * (0.5 * h), out=s[:, 2]), c)
+        k4 = _field_mlp(dec, np.add(x, k3 * h, out=s[:, 3]), c)
+        incr = k1 + (k2 + k3) * 2.0
+        incr += k4
+        incr *= h / 6.0
+        x = np.add(x, incr, out=traj[:, :, n + 1])
+    return traj, stages
+
+
+def _field_backward(
+    dec: _Stack, grad: _Stack, z: np.ndarray, steps: np.ndarray, stages: np.ndarray,
+    g_traj: np.ndarray,
+) -> np.ndarray:
+    """Reverse pass of :func:`_field_rollout` for d loss / d trajectory ``g_traj``.
+
+    Walks the steps backwards.  Each step first recomputes the hidden
+    activations of its four stages as one batch of 4 B rows, then takes the
+    stages k4 to k1 in turn through the same MLP vector-Jacobian product,
+    and adds the step's weight gradients with one matmul per layer.
+    Recomputing from the stage states, instead of storing every stage's
+    activations, keeps the working set in cache.  Writes the decoder
+    gradient into ``grad`` and returns d loss / d z.
+    """
+    n_lat = z.shape[2]
+    n_views, _, _, batch, d = stages.shape
+    rows = 4 * batch
+    w_t = [_transposed(w) for w in dec.weights]
+    w0x_t = np.ascontiguousarray(w_t[0][:, :, n_lat:])
+    c4 = np.tile(np.matmul(z, dec.weights[0][:, :n_lat]), (1, 4, 1))
+    c4 += dec.biases[0][:, None, :]
+    # Buffers that every step reuses, for its 4 stages: the hidden layers'
+    # outputs and their activation derivatives, and every layer's
+    # d loss / d pre-activation with its running sum over the steps (for
+    # the biases and the latent part of the first layer).
+    hidden = [np.empty((n_views, rows, w.shape[2])) for w in dec.weights[:-1]]
+    derivs = [np.empty_like(h) for h in hidden]
+    deltas = [np.empty((n_views, rows, w.shape[2])) for w in dec.weights]
+    sums = [np.zeros_like(delta) for delta in deltas]
+    for w in grad.weights:
+        w[...] = 0.0
+
+    def stage_vjp(g, k):
+        # d loss / d k at stage k of the step -> d loss / d stage state.
+        part = slice(k * batch, (k + 1) * batch)
+        deltas[-1][:, part] = g
+        for i in range(len(hidden), 0, -1):
+            delta = deltas[i - 1][:, part]
+            np.multiply(np.matmul(g, w_t[i]), derivs[i - 1][:, part], out=delta)
+            g = delta
+        return np.matmul(g, w0x_t)
+
+    xbar = g_traj[:, :, -1].copy()  # d loss / d x at the end of step n
+    for n in reversed(range(len(steps))):
+        inputs = [stages[:, n].reshape(n_views, rows, d)] + hidden
+        _field_mlp(dec, inputs[0], c4, hidden, derivs)
+
+        h = steps[n]
+        gs4 = stage_vjp(xbar * (h / 6.0), 3)
+        gs3 = stage_vjp(xbar * (h / 3.0) + gs4 * h, 2)
+        gs2 = stage_vjp(xbar * (h / 3.0) + gs3 * (0.5 * h), 1)
+        gs1 = stage_vjp(xbar * (h / 6.0) + gs2 * (0.5 * h), 0)
+        xbar += gs1 + gs2 + gs3 + gs4
+        xbar += g_traj[:, :, n]
+
+        grad.weights[0][:, n_lat:] += np.matmul(np.swapaxes(inputs[0], 1, 2), deltas[0])
+        for i in range(1, len(inputs)):
+            grad.weights[i] += np.matmul(np.swapaxes(inputs[i], 1, 2), deltas[i])
+        for total, delta in zip(sums, deltas):
+            total += delta
+
+    for i in range(1, len(sums)):
+        sums[i].sum(axis=1, out=grad.biases[i])
+    gc = sums[0].reshape(n_views, 4, batch, -1).sum(axis=1)  # the latent part feeds every stage
+    grad.weights[0][:, :n_lat] = np.matmul(np.swapaxes(z, 1, 2), gc)
+    gc.sum(axis=1, out=grad.biases[0])
+    return np.matmul(gc, w_t[0][:, :, :n_lat])
+
+
+# ---------------------------------------------------------------------------
+# Forward paths.
+# ---------------------------------------------------------------------------
 
 
 def _standardized_inputs(
@@ -536,13 +816,19 @@ def _standardized_inputs(
     return enc, aux, tgt
 
 
+def _stacked_inputs(model: IdentifierModel, states: np.ndarray) -> list:
+    """(enc_in, aux_in, targets), each (V, n, width), for states (V, n, T, d)."""
+    per_view = [_standardized_inputs(model, states[v], v) for v in range(states.shape[0])]
+    return [np.stack(parts) for parts in zip(*per_view)]
+
+
 def encode(model: IdentifierModel, states: np.ndarray, view: int) -> np.ndarray:
     """Latents (n, L) for raw trajectories (n, T, d) of one view."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[1] != model.grid.n_points:
         raise InvalidArgumentError("encode: states must be (n, T, d) on the model grid")
     enc_in, _, _ = _standardized_inputs(model, states, view)
-    return _numpy_forward(model.encoders[view], enc_in)
+    return _mlp_forward(_Stack.of(model.encoders[view]), enc_in[None])[0]
 
 
 def shared_latents(model: IdentifierModel, dataset: MultiviewDataset) -> np.ndarray:
@@ -560,35 +846,6 @@ def private_latents(model: IdentifierModel, dataset: MultiviewDataset) -> np.nda
     )
 
 
-def _field_rollout_graph(
-    model: IdentifierModel, view: int, z: Tensor, x0_std: np.ndarray
-) -> Tensor:
-    """Integrate the latent-conditioned field with RK4 inside the graph.
-
-    Works in standardized state space; one step per grid interval.  Returns
-    the whole rolled-out trajectory as a (batch, T*d) tensor.
-    """
-    dec = model.decoders[view]
-    x = Tensor(x0_std)
-    pieces = [x]
-
-    def f(state: Tensor) -> Tensor:
-        return ad.mlp_forward(dec, ad.concat_cols(z, state))
-
-    for h in np.diff(model.grid.points):
-        k1 = f(x)
-        k2 = f(ad.add(x, ad.scale(k1, 0.5 * h)))
-        k3 = f(ad.add(x, ad.scale(k2, 0.5 * h)))
-        k4 = f(ad.add(x, ad.scale(k3, h)))
-        incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
-        x = ad.add(x, ad.scale(incr, h / 6.0))
-        pieces.append(x)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = ad.concat_cols(out, piece)
-    return out
-
-
 def decode_forecast(
     model: IdentifierModel, z: np.ndarray, init_states: np.ndarray, view: int
 ) -> np.ndarray:
@@ -601,14 +858,15 @@ def decode_forecast(
     prep, cfg = model.prep, model.config
     t_pts = model.grid.n_points
     d = prep.tgt_mean.shape[1]
+    dec = _Stack.of(model.decoders[view])
     if cfg.decoder == "direct":
         init_states = np.asarray(init_states, dtype=float).reshape(z.shape[0], -1)
         aux = (init_states - prep.aux_mean[view]) / prep.aux_std[view]
-        out = _numpy_forward(model.decoders[view], np.concatenate([z, aux], axis=1))
+        out = _mlp_forward(dec, np.concatenate([z, aux], axis=1)[None])[0]
     else:
         x0 = np.asarray(init_states, dtype=float).reshape(z.shape[0], d)
         x0 = (x0 - prep.tgt_mean[view]) / prep.tgt_std[view]
-        out = _field_rollout_graph(model, view, Tensor(z), x0).view()
+        out = _field_rollout(dec, z[None], x0[None], np.diff(model.grid.points))[0][0]
     std_states = out.reshape(z.shape[0], t_pts, d)
     return std_states * prep.tgt_std[view] + prep.tgt_mean[view]
 
@@ -618,13 +876,19 @@ def decode_forecast(
 # ---------------------------------------------------------------------------
 
 
-def _loss_graph(
+def _loss(
     model: IdentifierModel,
-    enc_in: Sequence[np.ndarray],
-    aux_in: Sequence[np.ndarray],
-    targets: Sequence[np.ndarray],
-) -> tuple[Tensor, dict]:
-    """Total-loss tensor plus float components for one (already standardized) batch.
+    nets: tuple[_Stack, _Stack],
+    enc_in: np.ndarray,
+    aux_in: np.ndarray,
+    targets: np.ndarray,
+    grads: Optional[tuple[_Stack, _Stack]] = None,
+) -> dict:
+    """Float loss components for one standardized batch, all views at once.
+
+    ``enc_in``, ``aux_in`` and ``targets`` are (V, B, width); ``nets`` are
+    the encoder and decoder stacks.  With ``grads`` (stacks of the same
+    layout), d total / d parameter is written there as well.
 
     total = reg_align * alignment + sufficiency, where alignment is the mean
     over view pairs of the batch-mean squared shared-block difference and
@@ -632,48 +896,72 @@ def _loss_graph(
     reconstruction error.
     """
     cfg = model.config
-    layout = model.layout
-    n_views = model.n_views
-    batch = enc_in[0].shape[0]
-    shared_cols = layout.shared_indices
+    enc, dec = nets
+    n_views, batch = enc_in.shape[:2]
+    keep = grads is not None
+    saved_enc = [] if keep else None
+    z = _mlp_forward(enc, enc_in, saved_enc)
+    if cfg.decoder == "direct":
+        saved_dec = [] if keep else None
+        out = _mlp_forward(dec, np.concatenate([z, aux_in], axis=2), saved_dec)
+    else:
+        d = model.prep.tgt_mean.shape[1]
+        steps = np.diff(model.grid.points)
+        traj, stages = _field_rollout(dec, z, targets[:, :, :d], steps)
+        out = traj.reshape(targets.shape)
+    resid = out - targets
+    sufficiency = sum(float(np.square(r).sum()) * (1.0 / batch) for r in resid)
 
-    latents, suff_terms = [], []
-    for v in range(n_views):
-        h = ad.mlp_forward(model.encoders[v], Tensor(enc_in[v]))
-        latents.append(h)
-        if cfg.decoder == "direct":
-            dec_in = ad.concat_cols(h, Tensor(aux_in[v]))
-            out = ad.mlp_forward(model.decoders[v], dec_in)
-        else:
-            d = model.prep.tgt_mean.shape[1]
-            x0_std = targets[v][:, :d]
-            out = _field_rollout_graph(model, v, h, x0_std)
-        resid = ad.sub(out, Tensor(targets[v]))
-        suff_terms.append(ad.scale(ad.sum_all(ad.square(resid)), 1.0 / batch))
-    sufficiency = suff_terms[0]
-    for term in suff_terms[1:]:
-        sufficiency = ad.add(sufficiency, term)
-
-    pair_terms = []
-    for i, j in itertools.combinations(range(n_views), 2):
-        diff = ad.sub(
-            ad.slice_cols(latents[i], shared_cols),
-            ad.slice_cols(latents[j], shared_cols),
-        )
-        pair_terms.append(ad.scale(ad.sum_all(ad.square(diff)), 1.0 / batch))
-    alignment = pair_terms[0]
-    for term in pair_terms[1:]:
-        alignment = ad.add(alignment, term)
-    if len(pair_terms) > 1:
-        alignment = ad.scale(alignment, 1.0 / len(pair_terms))
-
-    total = ad.add(ad.scale(alignment, cfg.reg_align), sufficiency)
+    shared = model.layout.shared_indices
+    cols = slice(shared[0], shared[-1] + 1)
+    pairs = list(itertools.combinations(range(n_views), 2))
+    diffs = [z[i, :, cols] - z[j, :, cols] for i, j in pairs]
+    alignment = sum(float(np.square(diff).sum()) * (1.0 / batch) for diff in diffs)
+    if len(pairs) > 1:
+        alignment = alignment * (1.0 / len(pairs))
     components = {
-        "total": total.item(),
-        "sufficiency": sufficiency.item(),
-        "alignment": alignment.item(),
+        "total": alignment * cfg.reg_align + sufficiency,
+        "sufficiency": sufficiency,
+        "alignment": alignment,
     }
-    return total, components
+    if not keep:
+        return components
+
+    g_out = resid * (2.0 / batch)
+    if cfg.decoder == "direct":
+        g_z = _mlp_backward(dec, grads[1], saved_dec, g_out, slice(0, z.shape[2]))
+    else:
+        g_z = _field_backward(dec, grads[1], z, steps, stages, g_out.reshape(traj.shape))
+    coef = 2.0 * cfg.reg_align / (batch * len(pairs))
+    for (i, j), diff in zip(pairs, diffs):
+        g_z[i, :, cols] += coef * diff
+        g_z[j, :, cols] -= coef * diff
+    _mlp_backward(enc, grads[0], saved_enc, g_z)
+    return components
+
+
+def _loss_and_grads(
+    model: IdentifierModel,
+    enc_in: Sequence[np.ndarray],
+    aux_in: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+) -> tuple[dict, list]:
+    """Loss components and d total / d parameter for one standardized batch.
+
+    The inputs are per-view lists; the gradient comes as one flat array per
+    tensor of :func:`model_parameters`, in that order.
+    """
+    flat = _FlatParams(model)
+    grad = np.empty_like(flat.tensor.data)
+    components = _loss(
+        model,
+        flat.stacks(flat.tensor.data),
+        np.stack(enc_in),
+        np.stack(aux_in),
+        np.stack(targets),
+        flat.stacks(grad),
+    )
+    return components, flat.split(grad)
 
 
 def multiview_loss(
@@ -684,14 +972,9 @@ def multiview_loss(
     """Loss components over a dataset (or a subset of its pairs)."""
     if indices is None:
         indices = np.arange(dataset.n_pairs)
-    enc_in, aux_in, targets = [], [], []
-    for v in range(dataset.n_views):
-        e, a, t = _standardized_inputs(model, dataset.states[v][indices], v)
-        enc_in.append(e)
-        aux_in.append(a)
-        targets.append(t)
-    _, components = _loss_graph(model, enc_in, aux_in, targets)
-    return components
+    enc_in, aux_in, targets = _stacked_inputs(model, dataset.states[:, indices])
+    flat = _FlatParams(model)
+    return _loss(model, flat.stacks(flat.tensor.data), enc_in, aux_in, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +996,14 @@ def train_identifier(
     """
     model = build_identifier(dataset, config, seed)
     n = dataset.n_pairs
-    enc_all, aux_all, tgt_all = [], [], []
-    for v in range(dataset.n_views):
-        e, a, t = _standardized_inputs(model, dataset.states[v], v)
-        enc_all.append(e)
-        aux_all.append(a)
-        tgt_all.append(t)
+    enc_all, aux_all, tgt_all = _stacked_inputs(model, dataset.states)
 
-    params = model_parameters(model)
-    opt = ad.adam_init(params, lr=config.lr)
+    flat = _FlatParams(model)
+    flat.bind()
+    nets = flat.stacks(flat.tensor.data)
+    grad = np.empty_like(flat.tensor.data)
+    grads = flat.stacks(grad)
+    opt = ad.adam_init([flat.tensor], lr=config.lr)
     history: list[dict] = []
     batch = min(config.batch_size, n)
 
@@ -731,14 +1013,12 @@ def train_identifier(
         n_steps = 0
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            enc_b = [e[idx] for e in enc_all]
-            aux_b = [a[idx] for a in aux_all]
-            tgt_b = [t[idx] for t in tgt_all]
-            ad.zero_grad(params)
             # Non-finite values are detected explicitly below, so numpy's
             # overflow chatter on the way there is just noise.
             with np.errstate(all="ignore"):
-                total, comps = _loss_graph(model, enc_b, aux_b, tgt_b)
+                comps = _loss(
+                    model, nets, enc_all[:, idx], aux_all[:, idx], tgt_all[:, idx], grads
+                )
                 if not np.isfinite(comps["total"]):
                     raise TrainingDivergedError(
                         f"training loss went non-finite at epoch {epoch}, step {n_steps}",
@@ -746,8 +1026,7 @@ def train_identifier(
                         step=n_steps,
                         components=comps,
                     )
-                ad.backward(total)
-                ad.adam_step(opt, params)
+                ad.adam_step(opt, [flat.tensor], [grad])
             for k in sums:
                 sums[k] += comps[k]
             n_steps += 1
@@ -840,28 +1119,72 @@ def save_identifier(path, model: IdentifierModel) -> None:
         fh.write("\n")
 
 
+def _check_model_shapes(path, model: IdentifierModel) -> None:
+    """Raise :class:`FileFormatError` unless every array of ``model`` has the
+    shape that its config, its grid and its state dimension call for."""
+    cfg, prep = model.config, model.prep
+
+    def malformed(what: str) -> FileFormatError:
+        return FileFormatError(f"{path}: malformed model file ({what})")
+
+    if prep.tgt_mean.ndim != 2:
+        raise malformed("prep.tgt_mean is not 2-d")
+    n_views, d = prep.tgt_mean.shape
+    t_pts = model.grid.n_points
+    n_feat = int(np.ceil(cfg.keep_fraction * t_pts)) * d
+    arrays = [  # (name, actual shape, expected shape)
+        ("prep.enc_mean", prep.enc_mean.shape, (n_views, n_feat)),
+        ("prep.enc_std", prep.enc_std.shape, (n_views, n_feat)),
+        ("prep.aux_mean", prep.aux_mean.shape, (n_views, cfg.n_init * d)),
+        ("prep.aux_std", prep.aux_std.shape, (n_views, cfg.n_init * d)),
+        ("prep.tgt_std", prep.tgt_std.shape, (n_views, d)),
+    ]
+    for role, nets, (fan_in, fan_out) in (
+        ("encoders", model.encoders, (n_feat, cfg.layout.latent_dim)),
+        ("decoders", model.decoders, _decoder_dims(cfg, t_pts, d)),
+    ):
+        if len(nets) != n_views:
+            raise malformed(f"{len(nets)} {role} for {n_views} views")
+        dims = [fan_in] + [cfg.hidden_dim] * (cfg.depth - 1) + [fan_out]
+        for v, net in enumerate(nets):
+            if net.activation != cfg.activation or len(net.weights) != cfg.depth:
+                raise malformed(f"{role}[{v}] does not match the config")
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays.append((f"{role}[{v}].weights[{k}]", w.shape, (dims[k], dims[k + 1])))
+                arrays.append((f"{role}[{v}].biases[{k}]", b.shape, (dims[k + 1],)))
+    for name, actual, expected in arrays:
+        if tuple(actual) != expected:
+            raise malformed(f"{name} has shape {tuple(actual)}, expected {expected}")
+
+
 def load_identifier(path) -> IdentifierModel:
     with open(path) as fh:
         try:
             rec = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: not a JSON model file ({exc})") from exc
-    cfg_raw = dict(rec["config"])
-    cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
-    config = IdentifierConfig(**cfg_raw)
-    g = rec["grid"]
-    prep = Preprocessing(
-        **{k: np.asarray(v, dtype=float) for k, v in rec["prep"].items()}
-    )
-    return IdentifierModel(
-        config=config,
-        system_id=rec["system_id"],
-        shared_param_indices=tuple(rec["shared_param_indices"]),
-        grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
-        prep=prep,
-        encoders=[_mlp_from_record(e) for e in rec["encoders"]],
-        decoders=[_mlp_from_record(d) for d in rec["decoders"]],
-    )
+    _check_record(path, rec, _MODEL_KEYS, "model file")
+    try:
+        cfg_raw = dict(rec["config"])
+        cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
+        config = IdentifierConfig(**cfg_raw)
+        g = rec["grid"]
+        prep = Preprocessing(
+            **{k: np.asarray(v, dtype=float) for k, v in rec["prep"].items()}
+        )
+        model = IdentifierModel(
+            config=config,
+            system_id=rec["system_id"],
+            shared_param_indices=tuple(rec["shared_param_indices"]),
+            grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
+            prep=prep,
+            encoders=[_mlp_from_record(e) for e in rec["encoders"]],
+            decoders=[_mlp_from_record(d) for d in rec["decoders"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed model file ({exc})") from exc
+    _check_model_shapes(path, model)
+    return model
 
 
 __all__ = [

@@ -280,16 +280,18 @@ def estimate_derivatives(trajectory: Trajectory) -> np.ndarray:
 def dct_truncate(states: np.ndarray, keep_fraction: float) -> np.ndarray:
     """Orthonormal DCT-II per channel, truncated to the lowest frequencies.
 
-    Keeps ``ceil(keep_fraction * T)`` coefficients per channel.
+    ``states`` is one (T, d) trajectory or an (n, T, d) batch; the transform
+    runs along the time axis and keeps ``ceil(keep_fraction * T)``
+    coefficients per channel.
     """
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2:
-        raise InvalidArgumentError("dct_truncate: states must be a (T, d) array")
+    if states.ndim not in (2, 3):
+        raise InvalidArgumentError("dct_truncate: states must be a (T, d) or (n, T, d) array")
     if not 0.0 < keep_fraction <= 1.0:
         raise InvalidArgumentError("dct_truncate: keep_fraction must be in (0, 1]")
-    n_keep = int(np.ceil(keep_fraction * states.shape[0]))
-    coeffs = _dct(states, type=2, norm="ortho", axis=0)
-    return coeffs[:n_keep]
+    n_keep = int(np.ceil(keep_fraction * states.shape[-2]))
+    coeffs = _dct(states, type=2, norm="ortho", axis=-2)
+    return coeffs[..., :n_keep, :]
 
 
 def idct_expand(coeffs: np.ndarray, n_points: int) -> np.ndarray:

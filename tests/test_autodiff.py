@@ -313,6 +313,31 @@ def test_adam_matches_reference_implementation():
     np.testing.assert_allclose(w.data, ref, rtol=0, atol=1e-12)
 
 
+def test_adam_one_flat_buffer_is_bit_identical_to_per_tensor():
+    """In-place Adam on one concatenated buffer equals the textbook
+    expression applied per tensor, bit for bit, for the same gradients."""
+    rng = substream(43, "adam-flat")
+    sizes = (6, 1, 70_000)
+    values = [rng.standard_normal(n) for n in sizes]
+    grads = [[rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3) for n in sizes]
+             for _ in range(30)]
+
+    flat = Tensor(np.concatenate(values), requires_grad=True)
+    state = adam_init([flat], lr=3e-3)
+    ref = [v.copy() for v in values]
+    ms = [np.zeros(n) for n in sizes]
+    vs = [np.zeros(n) for n in sizes]
+    for t, gs in enumerate(grads, start=1):
+        adam_step(state, [flat], [np.concatenate(gs)])
+        for p, g, m, v in zip(ref, gs, ms, vs):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 3e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+    assert flat.data.tobytes() == np.concatenate(ref).tobytes()
+
+
 def test_adam_converges_on_quadratic():
     w = Tensor(np.full(4, 10.0), requires_grad=True)
     state = adam_init([w], lr=0.5)
@@ -364,6 +389,22 @@ def test_gradient_check_flags_wrong_gradient():
         return sum_all(square(Tensor(w.data * 2.0, requires_grad=True)))
 
     assert gradient_check(build, [w]) > 1e-2
+
+
+def test_gradient_check_with_explicit_gradients():
+    # Code that differentiates without the graph hands its gradients over.
+    rng = substream(53, "gc-explicit")
+    a = rng.standard_normal((5, 3))
+    w = Tensor(rng.standard_normal(3), requires_grad=True)
+
+    def loss():
+        return float(np.sum((a @ w.data) ** 2))
+
+    right = 2.0 * a.T @ (a @ w.data)
+    assert gradient_check(loss, [w], grads=[right]) < 1e-6
+    assert gradient_check(loss, [w], grads=[0.5 * right]) > 1e-2
+    with pytest.raises(InvalidArgumentError):
+        gradient_check(loss, [w], grads=[])
 
 
 def test_gradient_check_respects_coordinate_cap():

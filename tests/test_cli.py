@@ -397,6 +397,48 @@ def test_dataset_given_as_model_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("dynident: io: ")
 
 
+def test_json_array_given_as_model_exits_2(tmp_path, capsys):
+    model = tmp_path / "arr.json"
+    model.write_text("[1, 2]\n")
+    rc = main(["eval", "--model", str(model), "--data", str(tmp_path / "absent.jsonl"),
+               "--report", str(tmp_path / "e.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("dynident: io: ") and str(model) in err
+
+
+def test_model_with_inconsistent_arrays_exits_2(tmp_path, capsys):
+    data = tmp_path / "pairs.jsonl"
+    model = tmp_path / "model.json"
+    assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "24",
+                 "--seed", "7", "--grid-points", "16", "--t-max", "5", "--out", str(data)]) == 0
+    assert main(["train-mv", "--data", str(data), "--out", str(model), "--epochs", "1",
+                 "--blocks", "2,2", "--hidden-dim", "8", "--depth", "2", "--n-init", "2"]) == 0
+    rec = json.loads(model.read_text())
+    rec["prep"]["enc_mean"] = [row[:-1] for row in rec["prep"]["enc_mean"]]
+    model.write_text(json.dumps(rec))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--data", str(data),
+               "--report", str(tmp_path / "e.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("dynident: io: ") and str(model) in err
+
+
+def test_simulate_output_given_as_dataset_exits_2(tmp_path, capsys):
+    trajs = tmp_path / "trajs.jsonl"
+    assert main(["simulate", "--system", "ode27", "--draws", "2", "--seed", "1",
+                 "--out", str(trajs)]) == 0
+    capsys.readouterr()
+    rc = main(["train-mv", "--data", str(trajs), "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith("dynident: io: ") and str(trajs) in err
+
+
 def test_threads_env_mirror_and_flag(tmp_path, monkeypatch):
     out = tmp_path / "b.csv"
     monkeypatch.setenv("DYNIDENT_THREADS", "2")

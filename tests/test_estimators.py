@@ -211,6 +211,67 @@ def test_benchmark_counts_divergent_draws_as_failures():
         del CATALOG[blowup.id]
 
 
+def _blowup_system(hi):
+    """x' = theta x^2 from x0 = 1, which diverges before t = 3 for theta > 1/3."""
+    return OdeSystem(
+        id="blowup_box",
+        name="blow-up probe",
+        state_dim=1,
+        param_dim=1,
+        field=lambda th, x: th[..., 0:1] * x**2,
+        param_lo=np.array([0.01]),
+        param_hi=np.array([hi]),
+        x0=[1.0],
+        t_max=3.0,
+    )
+
+
+def _traj_report_counting_integrations(system, monkeypatch):
+    from dynident import estimators
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return integrate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "integrate_batch", counting)
+    CATALOG[system.id] = system
+    try:
+        rep = benchmark_rmse([system.id], 8, "traj", seed=2, grid_points=20)[0]
+    finally:
+        del CATALOG[system.id]
+    return rep, calls
+
+
+def test_traj_gives_up_when_no_feasible_point_is_found(monkeypatch):
+    """On the box [0.01, 1.0] the start (the midpoint) diverges, and so does
+    every point Nelder-Mead tries from it: each simulable draw fails once
+    the simplex has shrunk within xatol (2 + 28 * 3 = 86 single-row
+    integrations here) instead of after 2,000 iterations (over 6,000)."""
+    rep, calls = _traj_report_counting_integrations(_blowup_system(1.0), monkeypatch)
+    assert rep.n_failures == 8
+    # The 8 draws themselves, one LM round of an (N + 1)-row block per
+    # simulable draw, then Nelder-Mead one row at a time.
+    simulable = calls[1] // 2
+    assert simulable >= 1
+    assert calls[:2] == [8, 2 * simulable]
+    assert set(calls[2:]) == {1}
+    assert len(calls) - 2 <= 100 * simulable
+
+
+def test_traj_recovers_an_infeasible_start_through_nelder_mead(monkeypatch):
+    """On the box [0.01, 0.68] the midpoint 0.345 and the simplex's other
+    vertex 0.362 diverge, but the first reflection 0.328 does not, so
+    Nelder-Mead fits every simulable draw; only the 5 draws with
+    theta > 1/3 fail.  The figures are those of the search run to its end."""
+    rep, calls = _traj_report_counting_integrations(_blowup_system(0.68), monkeypatch)
+    assert rep.n_failures == 5
+    assert rep.rmse_mean == float.fromhex("0x1.9951355555555p-36")
+    assert rep.rmse_std == float.fromhex("0x1.a9e645840976fp-38")
+    assert len(calls) == 204
+
+
 def test_noise_degrades_accuracy_monotonically():
     """Median RMSE is nondecreasing in the observation-noise level."""
     s = get_system("ode6")

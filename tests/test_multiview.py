@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynident.autodiff import gradient_check, mlp_parameters
+from dynident import autodiff as ad
+from dynident.autodiff import Tensor, gradient_check, mlp_parameters
 from dynident.errors import (
     ConfigError,
+    FileFormatError,
     InvalidArgumentError,
     NumericDomainError,
     TrainingDivergedError,
@@ -11,7 +16,7 @@ from dynident.errors import (
 from dynident.multiview import (
     IdentifierConfig,
     PartitionLayout,
-    _loss_graph,
+    _loss_and_grads,
     _standardized_inputs,
     alignment_ratio,
     build_identifier,
@@ -53,6 +58,82 @@ def _identical_view_dataset(n_pairs=10, grid_points=12, t_max=5.0, seed=6):
         states=np.stack([states, states]),
         thetas=np.stack([thetas, thetas]),
         x0s=np.stack([x0s, x0s]),
+    )
+
+
+def _tape_loss(model, enc_in, aux_in, targets):
+    """Reference: the total loss as an autodiff graph, plus float components.
+
+    Built from the public autodiff operations, one view at a time, with the
+    field decoder's RK4 rollout unrolled inside the graph.
+    """
+    cfg = model.config
+    batch = enc_in[0].shape[0]
+    latents, suff_terms = [], []
+    for v in range(model.n_views):
+        h = ad.mlp_forward(model.encoders[v], Tensor(enc_in[v]))
+        latents.append(h)
+        if cfg.decoder == "direct":
+            out = ad.mlp_forward(model.decoders[v], ad.concat_cols(h, Tensor(aux_in[v])))
+        else:
+            d = model.prep.tgt_mean.shape[1]
+            x = Tensor(targets[v][:, :d])
+            out = x
+
+            def f(state, v=v, h=h):
+                return ad.mlp_forward(model.decoders[v], ad.concat_cols(h, state))
+
+            for step in np.diff(model.grid.points):
+                k1 = f(x)
+                k2 = f(ad.add(x, ad.scale(k1, 0.5 * step)))
+                k3 = f(ad.add(x, ad.scale(k2, 0.5 * step)))
+                k4 = f(ad.add(x, ad.scale(k3, step)))
+                incr = ad.add(ad.add(k1, ad.scale(ad.add(k2, k3), 2.0)), k4)
+                x = ad.add(x, ad.scale(incr, step / 6.0))
+                out = ad.concat_cols(out, x)
+        resid = ad.sub(out, Tensor(targets[v]))
+        suff_terms.append(ad.scale(ad.sum_all(ad.square(resid)), 1.0 / batch))
+    sufficiency = suff_terms[0]
+    for term in suff_terms[1:]:
+        sufficiency = ad.add(sufficiency, term)
+
+    shared = model.layout.shared_indices
+    pair_terms = []
+    for i, j in itertools.combinations(range(model.n_views), 2):
+        diff = ad.sub(ad.slice_cols(latents[i], shared), ad.slice_cols(latents[j], shared))
+        pair_terms.append(ad.scale(ad.sum_all(ad.square(diff)), 1.0 / batch))
+    alignment = pair_terms[0]
+    for term in pair_terms[1:]:
+        alignment = ad.add(alignment, term)
+    if len(pair_terms) > 1:
+        alignment = ad.scale(alignment, 1.0 / len(pair_terms))
+
+    total = ad.add(ad.scale(alignment, cfg.reg_align), sufficiency)
+    components = {
+        "total": total.item(),
+        "sufficiency": sufficiency.item(),
+        "alignment": alignment.item(),
+    }
+    return total, components
+
+
+def _batch_inputs(model, dataset, rows):
+    """Per-view lists (enc_in, aux_in, targets) for the pairs ``rows``."""
+    parts = [
+        _standardized_inputs(model, dataset.states[v][rows], v) for v in range(model.n_views)
+    ]
+    return [list(p) for p in zip(*parts)]
+
+
+def _closed_form_gradient_error(model, inputs, seed):
+    """gradient_check of the closed-form gradient: 120 coordinates, bar 1e-4."""
+    _, grads = _loss_and_grads(model, *inputs)
+    return gradient_check(
+        lambda: _loss_and_grads(model, *inputs)[0]["total"],
+        model_parameters(model),
+        max_coords=120,
+        seed=seed,
+        grads=grads,
     )
 
 
@@ -349,14 +430,45 @@ def test_loss_batch_subset_matches_manual_graph():
     model = build_identifier(ds, _small_config(), seed=7)
     idx = np.array([3, 7, 11])
     comps = multiview_loss(model, ds, idx)
-    enc_in, aux_in, tgt = [], [], []
-    for v in range(2):
-        e, a, t = _standardized_inputs(model, ds.states[v][idx], v)
-        enc_in.append(e)
-        aux_in.append(a)
-        tgt.append(t)
-    _, manual = _loss_graph(model, enc_in, aux_in, tgt)
-    assert comps == manual
+    inputs = _batch_inputs(model, ds, idx)
+    assert comps == _loss_and_grads(model, *inputs)[0]
+    _, manual = _tape_loss(model, *inputs)
+    for key, value in manual.items():
+        assert comps[key] == pytest.approx(value, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    decoder=st.sampled_from(["direct", "field"]),
+    activation=st.sampled_from(["tanh", "relu"]),
+    depth=st.integers(1, 3),
+    n_views=st.integers(2, 3),
+    init_seed=st.integers(0, 2**16),
+)
+def test_closed_form_loss_and_gradients_match_the_tape(
+    decoder, activation, depth, n_views, init_seed
+):
+    ds = generate_multiview_dataset(
+        "ode27", 8, 17, (0, 1), n_views=n_views, grid_points=6, t_max=2.0
+    )
+    cfg = _small_config(
+        decoder=decoder, activation=activation, depth=depth, hidden_dim=5,
+        block_sizes=(2, 3), n_init=2, reg_align=3.0,
+    )
+    model = build_identifier(ds, cfg, seed=init_seed)
+    inputs = _batch_inputs(model, ds, np.arange(5))
+    comps, grads = _loss_and_grads(model, *inputs)
+
+    params = model_parameters(model)
+    total, ref = _tape_loss(model, *inputs)
+    ad.zero_grad(params)
+    ad.backward(total)
+    for key, value in ref.items():
+        assert comps[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+    for p, g in zip(params, grads):
+        assert g.shape == p.grad.shape
+        scale = np.max(np.abs(p.grad))
+        assert np.max(np.abs(g - p.grad)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +529,7 @@ def test_direct_decoder_gradients_at_initialization():
     ds = _small_dataset(n_pairs=6, grid_points=12, t_max=5.0)
     cfg = _small_config(hidden_dim=6, block_sizes=(2, 2), epochs=0, n_init=2)
     model = build_identifier(ds, cfg, seed=12)
-    enc_in, aux_in, tgt = [], [], []
-    for v in range(2):
-        e, a, t = _standardized_inputs(model, ds.states[v][:3], v)
-        enc_in.append(e)
-        aux_in.append(a)
-        tgt.append(t)
-
-    def build():
-        total, _ = _loss_graph(model, enc_in, aux_in, tgt)
-        return total
-
-    err = gradient_check(build, model_parameters(model), max_coords=120, seed=1)
+    err = _closed_form_gradient_error(model, _batch_inputs(model, ds, np.arange(3)), seed=1)
     assert err < 1e-4
 
 
@@ -481,18 +582,7 @@ def test_field_decoder_gradients_through_rollout():
         decoder="field", hidden_dim=6, depth=2, block_sizes=(2, 2), epochs=0, n_init=2
     )
     model = build_identifier(ds, cfg, seed=12)
-    enc_in, aux_in, tgt = [], [], []
-    for v in range(2):
-        e, a, t = _standardized_inputs(model, ds.states[v][:2], v)
-        enc_in.append(e)
-        aux_in.append(a)
-        tgt.append(t)
-
-    def build():
-        total, _ = _loss_graph(model, enc_in, aux_in, tgt)
-        return total
-
-    err = gradient_check(build, model_parameters(model), max_coords=120, seed=1)
+    err = _closed_form_gradient_error(model, _batch_inputs(model, ds, np.arange(2)), seed=1)
     assert err < 1e-4
 
 
@@ -503,11 +593,21 @@ def test_field_decoder_trains_and_forecasts():
     )
     model, history = train_identifier(ds, cfg, seed=13)
     assert history[-1]["total"] < history[0]["total"]
+    again, history_again = train_identifier(ds, cfg, seed=13)
+    assert history_again == history
+    for pa, pb in zip(model_parameters(model), model_parameters(again)):
+        assert pa.data.tobytes() == pb.data.tobytes()
     z = encode(model, ds.states[0], 0)
     recon = decode_forecast(model, z, ds.states[0][:, 0], 0)
     assert recon.shape == (16, 8, 2)
     # The rollout is anchored at the supplied initial condition.
     np.testing.assert_allclose(recon[:, 0], ds.states[0][:, 0], atol=1e-10)
+    # decode_forecast rolls out exactly what the training loss compares.
+    sufficiency = 0.0
+    for v in range(2):
+        recon_v = decode_forecast(model, encode(model, ds.states[v], v), ds.states[v][:, 0], v)
+        sufficiency += np.sum(((recon_v - ds.states[v]) / model.prep.tgt_std[v]) ** 2) / 16
+    assert multiview_loss(model, ds)["sufficiency"] == pytest.approx(sufficiency, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +633,50 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         encode(back, ds.states[0], 0), encode(model, ds.states[0], 0)
     )
     assert multiview_loss(back, ds) == multiview_loss(model, ds)
+
+
+def _edited_checkpoint(tmp_path, edit):
+    """A saved model whose JSON record ``edit`` changed in place."""
+    import json
+
+    model = build_identifier(_small_dataset(n_pairs=12), _small_config(), seed=15)
+    path = tmp_path / "identifier.json"
+    save_identifier(path, model)
+    rec = json.loads(path.read_text())
+    edit(rec)
+    path.write_text(json.dumps(rec))
+    return path
+
+
+def test_checkpoint_with_a_short_preprocessing_row_is_rejected(tmp_path):
+    def cut_one_column(rec):
+        rec["prep"]["enc_mean"] = [row[:-1] for row in rec["prep"]["enc_mean"]]
+
+    path = _edited_checkpoint(tmp_path, cut_one_column)
+    with pytest.raises(FileFormatError, match="prep.enc_mean has shape"):
+        load_identifier(path)
+
+
+def test_checkpoint_whose_views_differ_in_shape_is_rejected(tmp_path):
+    """Widening view 1's hidden layer alone gives a record every tensor of
+    which is well formed, but whose views no longer stack."""
+
+    def widen_view_1(rec):
+        dec = rec["decoders"][1]
+        dec["weights"][0] = [row + [0.0] for row in dec["weights"][0]]
+        dec["biases"][0] = dec["biases"][0] + [0.0]
+        dec["weights"][1] = dec["weights"][1] + [[0.0] * len(dec["weights"][1][0])]
+
+    path = _edited_checkpoint(tmp_path, widen_view_1)
+    with pytest.raises(FileFormatError, match=r"decoders\[1\]\.weights\[0\] has shape"):
+        load_identifier(path)
+
+
+def test_loss_rejects_a_model_whose_views_differ_in_shape():
+    ds = _small_dataset(n_pairs=12)
+    model = build_identifier(ds, _small_config(), seed=15)
+    model.decoders[1] = ad.mlp_init(
+        model.decoders[1].in_dim, model.decoders[1].out_dim, 17, 2, rng=np.random.default_rng(0)
+    )
+    with pytest.raises(InvalidArgumentError, match="differ in shape"):
+        multiview_loss(model, ds)

@@ -267,6 +267,13 @@ def test_dct_truncate_expand_is_projection():
     np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
 
 
+def test_dct_batch_equals_one_trajectory_at_a_time():
+    x = np.random.default_rng(4).standard_normal((7, 23, 3))
+    for keep in (0.3, 0.5, 1.0):
+        loop = np.stack([dct_truncate(row, keep) for row in x])
+        assert np.array_equal(dct_truncate(x, keep), loop)
+
+
 def test_dct_bad_fraction_rejected():
     x = np.zeros((5, 1))
     for bad in (0.0, -0.1, 1.5):
