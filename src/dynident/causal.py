@@ -98,25 +98,26 @@ def logistic_fit(
     w = np.zeros((fp1, k))
 
     def loss_of(wm):
+        """The penalized loss at ``wm`` and the class probabilities behind it."""
         p = _softmax(xs @ wm)
         nll = -np.log(np.maximum(p[np.arange(n), y_idx], 1e-300)).mean()
-        return nll + l2 * np.sum(wm[:-1] ** 2)
+        return nll + l2 * np.sum(wm[:-1] ** 2), p
 
-    loss = loss_of(w)
+    loss, p = loss_of(w)
     lr = float(lr0)
     for _ in range(max_iter):
-        p = _softmax(xs @ w)
         grad = xs.T @ (p - onehot) / n
         grad[:-1] += 2.0 * l2 * w[:-1]
         while True:
             w_new = w - lr * grad
-            loss_new = loss_of(w_new)
+            loss_new, p_new = loss_of(w_new)
             if loss_new <= loss or lr < 1e-12:
                 break
             lr *= 0.5
         if lr < 1e-12:
             break
-        w, gain, loss = w_new, loss - loss_new, loss_new
+        # The accepted step's probabilities are the next gradient's.
+        w, p, gain, loss = w_new, p_new, loss - loss_new, loss_new
         if gain < 1e-10 * (1.0 + abs(loss)):
             break
     return LogisticModel(classes=classes, weights=w, feat_mean=mean, feat_std=std)

@@ -5,8 +5,8 @@ Subcommands
 systems   list the compiled-in catalog as a TSV table
 simulate  integrate sampled parameter draws and persist trajectories
 bench     run the RMSE estimation benchmark and emit CSV + markdown
-synth-mv  generate a paired-view dataset (JSON lines)
-train-mv  train a multiview identifier from a dataset + config
+synth-mv  generate a paired-view dataset (.npz archive)
+train-mv  train a multiview identifier from a dataset + config (.npz archive)
 eval      probe a trained identifier (accuracy matrix, R², ATE slices)
 report    re-render a benchmark CSV as a markdown table
 
@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .atomic import atomic_open
 from .causal import aipw_ate, ate_trend, latent_r2, partition_accuracy_matrix
 from .errors import (
     ConfigError,
@@ -233,7 +234,7 @@ def write_manifest(primary_output, manifest: RunManifest) -> str:
         "wall_time_s": manifest.wall_time_s,
         "outputs": manifest.outputs,
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return path
@@ -264,7 +265,7 @@ def emit_report(reports, csv_path=None, md_path=None) -> dict:
         raise InvalidArgumentError("emit_report: need at least one report row")
     written = {}
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
+        with atomic_open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_REPORT_COLUMNS)
             for r in reports:
@@ -280,7 +281,7 @@ def emit_report(reports, csv_path=None, md_path=None) -> dict:
             lines.append(
                 f"| {r.system_id} | {r.n_draws} | {rmse} | {r.n_failures} | {r.method} |"
             )
-        with open(md_path, "w") as fh:
+        with atomic_open(md_path) as fh:
             fh.write("\n".join(lines) + "\n")
         written["md"] = md_path
     return written
@@ -534,7 +535,7 @@ def _cmd_eval(cfg: RunConfig, threads: int) -> None:
     )
 
     report_path = cfg["report"]
-    with open(report_path, "w", newline="") as fh:
+    with atomic_open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["section", "row", "col", "value"])
         for b in range(accuracy.shape[0]):
@@ -586,7 +587,7 @@ def _cmd_eval(cfg: RunConfig, threads: int) -> None:
         lines.append(
             f"| {name} | {n_rows} | {ate_hat:.4f} | {se_hat:.4f} | {ratio:.4f} |"
         )
-    with open(md_path, "w") as fh:
+    with atomic_open(md_path) as fh:
         fh.write("\n".join(lines) + "\n")
 
     manifest = RunManifest(
@@ -708,7 +709,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV path; markdown written alongside")
 
-    p = add("synth-mv", "generate a paired-view dataset")
+    p = add("synth-mv", "generate a paired-view dataset (.npz archive)")
     p.add_argument("--system", default=None)
     p.add_argument("--shared", default=None, help="shared parameter indices, e.g. 0,1")
     p.add_argument("--pairs", type=int, default=None)
@@ -721,7 +722,7 @@ def _build_parser() -> _Parser:
                    help="discrete shared values, rows ';'-separated: '0.7,1.6;1.7,0.7'")
     p.add_argument("--out", default=None)
 
-    p = add("train-mv", "train a multiview identifier")
+    p = add("train-mv", "train a multiview identifier (.npz archive)")
     p.add_argument("--data", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -32,12 +32,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_open
 from .autodiff import MlpParams, Tensor
 from .errors import (
     ConfigError,
@@ -121,8 +125,13 @@ class MultiviewDataset:
         if self.states.ndim != 4:
             raise InvalidArgumentError("MultiviewDataset: states must be 4-d")
         v, n, t, d = self.states.shape
-        if self.thetas.shape[:2] != (v, n) or self.x0s.shape != (v, n, d):
+        if self.thetas.ndim != 3 or self.thetas.shape[:2] != (v, n) or self.x0s.shape != (v, n, d):
             raise InvalidArgumentError("MultiviewDataset: array shapes disagree")
+        if not all(0 <= i < self.thetas.shape[2] for i in self.shared_param_indices):
+            raise InvalidArgumentError(
+                f"MultiviewDataset: shared_param_indices {self.shared_param_indices} "
+                f"out of range for {self.thetas.shape[2]} parameters"
+            )
         if t != self.grid.n_points:
             raise InvalidArgumentError("MultiviewDataset: grid length mismatch")
         if self.labels is not None and self.labels.shape != (n,):
@@ -266,93 +275,170 @@ def generate_multiview_dataset(
     )
 
 
-def save_dataset(path, dataset: MultiviewDataset) -> None:
-    """JSON-lines: a header record, then one record per pair.
+# ---------------------------------------------------------------------------
+# Dataset and model files.
+#
+# Both are uncompressed zip archives: a ``meta.json`` member for the scalars
+# and one ``.npy`` member per array.  Every entry carries the same fixed
+# timestamp, so equal contents give byte-identical files, and zip's CRC-32
+# covers every member, so a damaged file is refused rather than misread.
+# ---------------------------------------------------------------------------
 
-    Floats are written in shortest round-trip form, so loading reproduces
-    every array bit-exactly and equal datasets produce equal files.
+_SCHEMA_VERSION = 2
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+_DATASET_KIND = "multiview-dataset"
+_MODEL_KIND = "multiview-model"
+_PREP_FIELDS = ("enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std")
+_ARCHIVE_LAYOUT = {  # kind -> (required meta.json keys, required array members)
+    _DATASET_KIND: (
+        ("system_id", "shared_param_indices", "grid", "n_views", "n_pairs", "labeled"),
+        ("states", "thetas", "x0s"),
+    ),
+    _MODEL_KIND: (
+        ("config", "system_id", "shared_param_indices", "grid"),
+        tuple(f"prep.{name}" for name in _PREP_FIELDS),
+    ),
+}
+
+
+def _zip_entry(name: str) -> zipfile.ZipInfo:
+    """An uncompressed entry with the fixed timestamp."""
+    return zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
+
+
+def _write_archive(path, meta: dict, arrays: dict) -> None:
+    """Write ``meta`` as ``meta.json`` and each array as ``<name>.npy``, in
+    order, to a temporary file that then replaces ``path``."""
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        zf.writestr(_zip_entry("meta.json"), json.dumps(meta))
+        for name, array in arrays.items():
+            with zf.open(_zip_entry(f"{name}.npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.ascontiguousarray(array), allow_pickle=False
+                )
+
+
+def _read_archive(path, kind: str) -> tuple[dict, dict]:
+    """The ``meta.json`` record and the arrays (name -> ndarray) of the
+    archive at ``path``.
+
+    Raises :class:`FileFormatError` naming ``path`` unless the file is an
+    intact archive of ``kind``, with the meta keys and members that kind
+    requires, every array float64 and ``labels`` integer.
     """
-    header = {
-        "kind": "multiview-dataset",
-        "schema_version": 1,
+    keys, members = _ARCHIVE_LAYOUT[kind]
+    with open(path, "rb") as fh:
+        try:
+            zf = zipfile.ZipFile(fh)
+        except (zipfile.BadZipFile, NotImplementedError) as exc:
+            fh.seek(0)
+            if fh.read(1) in (b"{", b"["):
+                reason = (
+                    "schema 1 JSON files are no longer read; "
+                    "regenerate with synth-mv/train-mv"
+                )
+            else:
+                reason = str(exc)
+            raise FileFormatError(f"{path}: not a dynident archive ({reason})") from exc
+        with zf:
+            try:
+                meta = json.loads(zf.read("meta.json"))
+                arrays = {}
+                for info in zf.infolist():
+                    if info.filename == "meta.json":
+                        continue
+                    name, ext = os.path.splitext(info.filename)
+                    if ext != ".npy":
+                        raise ValueError(f"unexpected member {info.filename!r}")
+                    with zf.open(info) as member:
+                        arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
+                        if member.read(1):  # reading to the end checks the CRC
+                            raise ValueError(f"{info.filename} has bytes past its array")
+            except (zipfile.BadZipFile, KeyError, ValueError, EOFError, OSError,
+                    NotImplementedError, RuntimeError, zlib.error) as exc:
+                raise FileFormatError(f"{path}: damaged archive ({exc})") from exc
+
+    if not isinstance(meta, dict):
+        raise FileFormatError(f"{path}: meta.json is not a JSON object")
+    if meta.get("kind") != kind:
+        raise FileFormatError(f"{path}: not a {kind} file (kind {meta.get('kind')!r})")
+    if meta.get("schema_version") != _SCHEMA_VERSION:
+        raise FileFormatError(
+            f"{path}: schema_version {meta.get('schema_version')!r}, "
+            f"expected {_SCHEMA_VERSION}"
+        )
+    missing = [k for k in keys if k not in meta] + [
+        f"{m}.npy" for m in members if m not in arrays
+    ]
+    if missing:
+        raise FileFormatError(f"{path}: not a {kind} file (missing {', '.join(missing)})")
+    for name, array in arrays.items():
+        if name == "labels" and not np.issubdtype(array.dtype, np.integer):
+            raise FileFormatError(f"{path}: labels has dtype {array.dtype}, expected integers")
+        if name != "labels" and array.dtype != np.float64:
+            raise FileFormatError(f"{path}: {name} has dtype {array.dtype}, expected float64")
+    return meta, arrays
+
+
+def _grid_record(grid: TimeGrid) -> dict:
+    return {"t0": grid.t0, "t_max": grid.t_max, "n_points": grid.n_points}
+
+
+def _grid_from_record(rec: dict) -> TimeGrid:
+    return TimeGrid.uniform(rec["t0"], rec["t_max"], rec["n_points"])
+
+
+def save_dataset(path, dataset: MultiviewDataset) -> None:
+    """Write ``dataset`` as an archive: ``meta.json`` (kind, schema_version,
+    system_id, shared_param_indices, grid, n_views, n_pairs, labeled) and
+    the float64 members ``states``, ``thetas``, ``x0s``, plus integer
+    ``labels`` when the dataset has them.
+
+    Loading reproduces every array bit-exactly, and equal datasets produce
+    equal files.
+    """
+    meta = {
+        "kind": _DATASET_KIND,
+        "schema_version": _SCHEMA_VERSION,
         "system_id": dataset.system_id,
         "shared_param_indices": list(dataset.shared_param_indices),
-        "grid": {
-            "t0": dataset.grid.t0,
-            "t_max": dataset.grid.t_max,
-            "n_points": dataset.grid.n_points,
-        },
+        "grid": _grid_record(dataset.grid),
         "n_views": dataset.n_views,
         "n_pairs": dataset.n_pairs,
         "labeled": dataset.labels is not None,
     }
-    with open(path, "w") as fh:
-        json.dump(header, fh)
-        fh.write("\n")
-        for i in range(dataset.n_pairs):
-            rec = {
-                "states": dataset.states[:, i].tolist(),
-                "thetas": dataset.thetas[:, i].tolist(),
-                "x0s": dataset.x0s[:, i].tolist(),
-            }
-            if dataset.labels is not None:
-                rec["label"] = int(dataset.labels[i])
-            json.dump(rec, fh)
-            fh.write("\n")
-
-
-_DATASET_KEYS = ("system_id", "shared_param_indices", "grid", "n_views", "n_pairs", "labeled")
-_MODEL_KEYS = (
-    "config", "system_id", "shared_param_indices", "grid", "prep", "encoders", "decoders"
-)
-
-
-def _check_record(path, rec, keys: Sequence[str], what: str) -> None:
-    """Raise :class:`FileFormatError` unless ``rec`` is an object holding ``keys``."""
-    if not isinstance(rec, dict):
-        raise FileFormatError(f"{path}: not a {what} (expected a JSON object)")
-    missing = [k for k in keys if k not in rec]
-    if missing:
-        raise FileFormatError(f"{path}: not a {what} (missing {', '.join(missing)})")
+    arrays = {
+        name: np.asarray(getattr(dataset, name), dtype=np.float64)
+        for name in ("states", "thetas", "x0s")
+    }
+    if dataset.labels is not None:
+        arrays["labels"] = np.asarray(dataset.labels, dtype=np.int64)
+    _write_archive(path, meta, arrays)
 
 
 def load_dataset(path) -> MultiviewDataset:
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-            rows = [json.loads(line) for line in fh if line.strip()]
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: not a JSON-lines dataset file ({exc})") from exc
-    _check_record(path, header, ("kind",) + _DATASET_KEYS, "multiview dataset file")
-    if header["kind"] != "multiview-dataset":
-        raise FileFormatError(f"{path}: not a multiview dataset file (kind {header['kind']!r})")
-    if len(rows) != header["n_pairs"]:
-        raise FileFormatError(
-            f"{path}: expected {header['n_pairs']} pair records, found {len(rows)}"
-        )
-    pair_keys = ("states", "thetas", "x0s") + (("label",) if header["labeled"] else ())
-    for i, r in enumerate(rows):
-        _check_record(path, r, pair_keys, f"multiview dataset file: pair record {i}")
+    """Read a dataset written by :func:`save_dataset`."""
+    meta, arrays = _read_archive(path, _DATASET_KIND)
     try:
-        g = header["grid"]
-        # Pair records carry view-major arrays; stack back to (n_views, n, ...).
-        states = np.stack([np.asarray(r["states"], dtype=float) for r in rows], axis=1)
-        thetas = np.stack([np.asarray(r["thetas"], dtype=float) for r in rows], axis=1)
-        x0s = np.stack([np.asarray(r["x0s"], dtype=float) for r in rows], axis=1)
-        labels = None
-        if header["labeled"]:
-            labels = np.array([int(r["label"]) for r in rows])
-        return MultiviewDataset(
-            system_id=header["system_id"],
-            shared_param_indices=tuple(header["shared_param_indices"]),
-            grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
-            states=states,
-            thetas=thetas,
-            x0s=x0s,
-            labels=labels,
+        dataset = MultiviewDataset(
+            system_id=meta["system_id"],
+            shared_param_indices=tuple(meta["shared_param_indices"]),
+            grid=_grid_from_record(meta["grid"]),
+            states=arrays["states"],
+            thetas=arrays["thetas"],
+            x0s=arrays["x0s"],
+            labels=arrays.get("labels"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed multiview dataset file ({exc})") from exc
+    stored = (dataset.n_views, dataset.n_pairs, dataset.labels is not None)
+    declared = (meta["n_views"], meta["n_pairs"], meta["labeled"])
+    if stored != declared:
+        raise FileFormatError(
+            f"{path}: malformed multiview dataset file (the arrays hold "
+            f"(n_views, n_pairs, labeled) = {stored}, meta.json declares {declared})"
+        )
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -1071,52 +1157,54 @@ def alignment_ratio(model: IdentifierModel, dataset: MultiviewDataset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mlp_record(params: MlpParams) -> dict:
-    return {
-        "activation": params.activation,
-        "weights": [w.view().tolist() for w in params.weights],
-        "biases": [b.view().tolist() for b in params.biases],
-    }
-
-
-def _mlp_from_record(rec: dict) -> MlpParams:
-    return MlpParams(
-        weights=[Tensor(np.asarray(w, dtype=float), requires_grad=True) for w in rec["weights"]],
-        biases=[Tensor(np.asarray(b, dtype=float), requires_grad=True) for b in rec["biases"]],
-        activation=rec["activation"],
-    )
-
-
 def save_identifier(path, model: IdentifierModel) -> None:
-    """JSON checkpoint; reload is bit-exact."""
+    """Write ``model`` as an archive: ``meta.json`` (kind, schema_version,
+    config, system_id, shared_param_indices, grid) and one float64 member
+    per array, ``prep.<statistic>`` and
+    ``<encoders|decoders>.<view>.<weights|biases>.<layer>``.
+
+    Reloading is bit-exact.
+    """
     cfg = {f.name: getattr(model.config, f.name) for f in fields(model.config)}
     cfg["block_sizes"] = list(cfg["block_sizes"])
-    rec = {
+    meta = {
+        "kind": _MODEL_KIND,
+        "schema_version": _SCHEMA_VERSION,
         "config": cfg,
         "system_id": model.system_id,
         "shared_param_indices": list(model.shared_param_indices),
-        "grid": {
-            "t0": model.grid.t0,
-            "t_max": model.grid.t_max,
-            "n_points": model.grid.n_points,
-        },
-        "prep": {
-            name: getattr(model.prep, name).tolist()
-            for name in (
-                "enc_mean",
-                "enc_std",
-                "aux_mean",
-                "aux_std",
-                "tgt_mean",
-                "tgt_std",
-            )
-        },
-        "encoders": [_mlp_record(e) for e in model.encoders],
-        "decoders": [_mlp_record(d) for d in model.decoders],
+        "grid": _grid_record(model.grid),
     }
-    with open(path, "w") as fh:
-        json.dump(rec, fh)
-        fh.write("\n")
+    arrays = {f"prep.{name}": getattr(model.prep, name) for name in _PREP_FIELDS}
+    for role in ("encoders", "decoders"):
+        for v, net in enumerate(getattr(model, role)):
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{role}.{v}.weights.{k}"] = w.view()
+                arrays[f"{role}.{v}.biases.{k}"] = b.view()
+    _write_archive(path, meta, arrays)
+
+
+def _numbered(arrays: dict, prefix: str) -> list:
+    """``arrays["<prefix>.0"]``, ``arrays["<prefix>.1"]``, ... up to the first gap."""
+    found = []
+    while f"{prefix}.{len(found)}" in arrays:
+        found.append(arrays[f"{prefix}.{len(found)}"])
+    return found
+
+
+def _mlps_from_arrays(arrays: dict, role: str, activation: str) -> list:
+    """The networks stored under ``<role>.<view>.`` for views 0, 1, ..."""
+    nets = []
+    while f"{role}.{len(nets)}.weights.0" in arrays:
+        prefix = f"{role}.{len(nets)}"
+        weights = _numbered(arrays, f"{prefix}.weights")
+        biases = _numbered(arrays, f"{prefix}.biases")
+        nets.append(MlpParams(
+            weights=[Tensor(w, requires_grad=True) for w in weights],
+            biases=[Tensor(b, requires_grad=True) for b in biases],
+            activation=activation,
+        ))
+    return nets
 
 
 def _check_model_shapes(path, model: IdentifierModel) -> None:
@@ -1147,8 +1235,10 @@ def _check_model_shapes(path, model: IdentifierModel) -> None:
             raise malformed(f"{len(nets)} {role} for {n_views} views")
         dims = [fan_in] + [cfg.hidden_dim] * (cfg.depth - 1) + [fan_out]
         for v, net in enumerate(nets):
-            if net.activation != cfg.activation or len(net.weights) != cfg.depth:
-                raise malformed(f"{role}[{v}] does not match the config")
+            if len(net.weights) != cfg.depth:
+                raise malformed(
+                    f"{role}[{v}] has {len(net.weights)} layers, config depth {cfg.depth}"
+                )
             for k, (w, b) in enumerate(zip(net.weights, net.biases)):
                 arrays.append((f"{role}[{v}].weights[{k}]", w.shape, (dims[k], dims[k + 1])))
                 arrays.append((f"{role}[{v}].biases[{k}]", b.shape, (dims[k + 1],)))
@@ -1158,30 +1248,22 @@ def _check_model_shapes(path, model: IdentifierModel) -> None:
 
 
 def load_identifier(path) -> IdentifierModel:
-    with open(path) as fh:
-        try:
-            rec = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: not a JSON model file ({exc})") from exc
-    _check_record(path, rec, _MODEL_KEYS, "model file")
+    """Read a model written by :func:`save_identifier`."""
+    meta, arrays = _read_archive(path, _MODEL_KIND)
     try:
-        cfg_raw = dict(rec["config"])
+        cfg_raw = dict(meta["config"])
         cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
         config = IdentifierConfig(**cfg_raw)
-        g = rec["grid"]
-        prep = Preprocessing(
-            **{k: np.asarray(v, dtype=float) for k, v in rec["prep"].items()}
-        )
         model = IdentifierModel(
             config=config,
-            system_id=rec["system_id"],
-            shared_param_indices=tuple(rec["shared_param_indices"]),
-            grid=TimeGrid.uniform(g["t0"], g["t_max"], g["n_points"]),
-            prep=prep,
-            encoders=[_mlp_from_record(e) for e in rec["encoders"]],
-            decoders=[_mlp_from_record(d) for d in rec["decoders"]],
+            system_id=meta["system_id"],
+            shared_param_indices=tuple(meta["shared_param_indices"]),
+            grid=_grid_from_record(meta["grid"]),
+            prep=Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS}),
+            encoders=_mlps_from_arrays(arrays, "encoders", config.activation),
+            decoders=_mlps_from_arrays(arrays, "decoders", config.activation),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed model file ({exc})") from exc
     _check_model_shapes(path, model)
     return model

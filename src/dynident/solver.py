@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.fft import dct as _dct, idct as _idct
 
+from .atomic import atomic_open
 from .errors import DivergenceError, FileFormatError, InvalidArgumentError
 from .systems import OdeSystem, get_system
 
@@ -338,7 +339,7 @@ def _trajectory_from_record(rec: dict) -> Trajectory:
 
 def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     """Write trajectories as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for traj in trajectories:
             fh.write(json.dumps(_trajectory_record(traj)))
             fh.write("\n")

@@ -374,8 +374,8 @@ def test_aipw_benchmarks_and_constructed_drift():
 
 def _run_pipeline(root):
     root.mkdir(exist_ok=True)
-    data = root / "pairs.jsonl"
-    model = root / "model.json"
+    data = root / "pairs.npz"
+    model = root / "model.npz"
     report = root / "eval.csv"
     bench = root / "bench.csv"
     sim = root / "draws.jsonl"

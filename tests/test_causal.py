@@ -56,6 +56,62 @@ def test_logistic_labels_keep_their_original_values():
     assert set(np.unique(logistic_predict(model, x))) <= {7, 8}
 
 
+def _logistic_weights_recomputing_softmax(features, labels, l2=1e-4, max_iter=500, lr0=1.0):
+    """The descent loop as it was before ``logistic_fit`` carried the accepted
+    step's probabilities forward: each iteration recomputes the softmax."""
+    x = np.asarray(features, dtype=float)
+    classes, y_idx = np.unique(labels, return_inverse=True)
+    mean = x.mean(axis=0)
+    std = np.maximum(x.std(axis=0), 1e-8)
+    xs = np.concatenate([(x - mean) / std, np.ones((x.shape[0], 1))], axis=1)
+    n, fp1 = xs.shape
+    onehot = np.zeros((n, classes.size))
+    onehot[np.arange(n), y_idx] = 1.0
+
+    def softmax(logits):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def loss_of(wm):
+        p = softmax(xs @ wm)
+        nll = -np.log(np.maximum(p[np.arange(n), y_idx], 1e-300)).mean()
+        return nll + l2 * np.sum(wm[:-1] ** 2)
+
+    w = np.zeros((fp1, classes.size))
+    loss = loss_of(w)
+    lr = float(lr0)
+    for _ in range(max_iter):
+        p = softmax(xs @ w)
+        grad = xs.T @ (p - onehot) / n
+        grad[:-1] += 2.0 * l2 * w[:-1]
+        while True:
+            w_new = w - lr * grad
+            loss_new = loss_of(w_new)
+            if loss_new <= loss or lr < 1e-12:
+                break
+            lr *= 0.5
+        if lr < 1e-12:
+            break
+        w, gain, loss = w_new, loss - loss_new, loss_new
+        if gain < 1e-10 * (1.0 + abs(loss)):
+            break
+    return w
+
+
+@pytest.mark.parametrize(
+    "centers", [[(-0.5, 0.2, 0.0), (0.5, -0.2, 0.1)], [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.2)]]
+)
+@pytest.mark.parametrize("lr0", [1.0, 1000.0])
+def test_logistic_weights_are_bit_identical_to_recomputing_the_softmax(centers, lr0):
+    """Overlapping binary and three-class blobs.  At lr0 1 the loop runs to
+    max_iter; at lr0 1000 the step halves 3 to 5 times and the loop stops on
+    a small gain.  Either way the weights agree bit for bit."""
+    x, y = _blobs(substream(8, "logistic-reuse"), centers, 120)
+    want = _logistic_weights_recomputing_softmax(x, y, lr0=lr0)
+    got = logistic_fit(x, y, lr0=lr0).weights
+    assert got.tobytes() == want.tobytes()
+
+
 def test_permuted_labels_score_at_chance():
     rng = substream(4, "chance")
     x = rng.standard_normal((600, 3))

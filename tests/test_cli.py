@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import re
 import shlex
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynident.cli import (
     Opt,
@@ -17,8 +20,10 @@ from dynident.cli import (
     main,
     parse_config,
 )
+from dynident.atomic import atomic_open
 from dynident.errors import ConfigError
 from dynident.estimators import EstimateReport
+from dynident.multiview import _read_archive, _write_archive
 from dynident.solver import load_trajectories
 
 
@@ -237,8 +242,8 @@ def test_report_rejects_foreign_csv(tmp_path, capsys):
 
 
 def test_full_pipeline_smoke(tmp_path):
-    data = tmp_path / "data.jsonl"
-    model = tmp_path / "model.json"
+    data = tmp_path / "data.npz"
+    model = tmp_path / "model.npz"
     report = tmp_path / "eval.csv"
     assert main(
         ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "120",
@@ -272,14 +277,14 @@ def test_full_pipeline_smoke(tmp_path):
     assert manifest["outputs"]["eval.csv"] == _sha256(report)
 
     # The training manifest records the effective hyperparameters.
-    train_manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+    train_manifest = json.loads((tmp_path / "model.npz.manifest.json").read_text())
     assert train_manifest["config"]["block_sizes"] == [3, 3]
     assert train_manifest["config"]["epochs"] == 5
     assert train_manifest["seeds"] == {"train": 3}
 
 
 def test_train_flag_overrides_config_file(tmp_path):
-    data = tmp_path / "data.jsonl"
+    data = tmp_path / "data.npz"
     assert main(
         ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "24",
          "--seed", "9", "--grid-points", "16", "--t-max", "5", "--out", str(data)]
@@ -289,20 +294,20 @@ def test_train_flag_overrides_config_file(tmp_path):
         {"lr": 1e-3, "epochs": 2, "block_sizes": [3, 3], "hidden_dim": 8,
          "depth": 2, "n_init": 2, "batch_size": 16}
     ))
-    model = tmp_path / "model.json"
+    model = tmp_path / "model.npz"
     assert main(
         ["train-mv", "--data", str(data), "--out", str(model),
          "--config", str(cfg), "--lr", "1e-4"]
     ) == 0
-    manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "model.npz.manifest.json").read_text())
     assert manifest["config"]["lr"] == 1e-4  # flag beats file
     assert manifest["config"]["epochs"] == 2  # file beats default
 
 
 def test_eval_rejects_mismatched_model_and_data(tmp_path, capsys):
-    data = tmp_path / "lv.jsonl"
-    other = tmp_path / "sir.jsonl"
-    model = tmp_path / "model.json"
+    data = tmp_path / "lv.npz"
+    other = tmp_path / "sir.npz"
+    model = tmp_path / "model.npz"
     assert main(
         ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "120",
          "--seed", "1", "--grid-points", "16", "--t-max", "5", "--out", str(data)]
@@ -345,7 +350,7 @@ def test_validation_error_names_the_key(tmp_path, capsys):
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"learning_rate": 1e-3}))
-    rc = main(["train-mv", "--data", "absent.jsonl", "--out", "m.json",
+    rc = main(["train-mv", "--data", "absent.npz", "--out", "m.npz",
                "--config", str(cfg)])
     assert rc == 1
     assert "learning_rate" in capsys.readouterr().err
@@ -366,19 +371,19 @@ def test_unknown_system_id_exits_1(tmp_path, capsys):
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):
-    rc = main(["train-mv", "--data", str(tmp_path / "absent.jsonl"),
-               "--out", str(tmp_path / "m.json")])
+    rc = main(["train-mv", "--data", str(tmp_path / "absent.npz"),
+               "--out", str(tmp_path / "m.npz")])
     assert rc == 2
     assert "dynident: io:" in capsys.readouterr().err
 
 
 def test_truncated_data_file_exits_2_with_one_line(tmp_path, capsys):
-    data = tmp_path / "pairs.jsonl"
+    data = tmp_path / "pairs.npz"
     assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "120",
                  "--seed", "7", "--grid-points", "20", "--out", str(data)]) == 0
     data.write_bytes(data.read_bytes()[:20_000])
     capsys.readouterr()
-    rc = main(["train-mv", "--data", str(data), "--out", str(tmp_path / "m.json")])
+    rc = main(["train-mv", "--data", str(data), "--out", str(tmp_path / "m.npz")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1
@@ -386,7 +391,7 @@ def test_truncated_data_file_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_dataset_given_as_model_exits_2(tmp_path, capsys):
-    data = tmp_path / "pairs.jsonl"
+    data = tmp_path / "pairs.npz"
     assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "4",
                  "--seed", "7", "--grid-points", "20", "--out", str(data)]) == 0
     capsys.readouterr()
@@ -409,15 +414,15 @@ def test_json_array_given_as_model_exits_2(tmp_path, capsys):
 
 
 def test_model_with_inconsistent_arrays_exits_2(tmp_path, capsys):
-    data = tmp_path / "pairs.jsonl"
-    model = tmp_path / "model.json"
+    data = tmp_path / "pairs.npz"
+    model = tmp_path / "model.npz"
     assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "24",
                  "--seed", "7", "--grid-points", "16", "--t-max", "5", "--out", str(data)]) == 0
     assert main(["train-mv", "--data", str(data), "--out", str(model), "--epochs", "1",
                  "--blocks", "2,2", "--hidden-dim", "8", "--depth", "2", "--n-init", "2"]) == 0
-    rec = json.loads(model.read_text())
-    rec["prep"]["enc_mean"] = [row[:-1] for row in rec["prep"]["enc_mean"]]
-    model.write_text(json.dumps(rec))
+    meta, arrays = _read_archive(model, "multiview-model")
+    arrays["prep.enc_mean"] = arrays["prep.enc_mean"][:, :-1]
+    _write_archive(model, meta, arrays)
     capsys.readouterr()
     rc = main(["eval", "--model", str(model), "--data", str(data),
                "--report", str(tmp_path / "e.csv")])
@@ -437,6 +442,107 @@ def test_simulate_output_given_as_dataset_exits_2(tmp_path, capsys):
     assert rc == 2
     assert err.count("\n") == 1
     assert err.startswith("dynident: io: ") and str(trajs) in err
+
+
+_PIPELINE_FILES = {}
+
+
+def _pipeline_files(tmp_path_factory):
+    """A small dataset and a model trained on it, written once by the CLI."""
+    if not _PIPELINE_FILES:
+        root = tmp_path_factory.mktemp("pipeline")
+        data, model = root / "pairs.npz", root / "model.npz"
+        assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "8",
+                     "--seed", "7", "--grid-points", "12", "--t-max", "5",
+                     "--out", str(data)]) == 0
+        assert main(["train-mv", "--data", str(data), "--out", str(model), "--epochs", "1",
+                     "--blocks", "2,2", "--hidden-dim", "4", "--depth", "2",
+                     "--n-init", "2"]) == 0
+        _PIPELINE_FILES.update(data=data, model=model)
+    return _PIPELINE_FILES
+
+
+@settings(max_examples=40, deadline=None)
+@given(role=st.sampled_from(["data", "model"]), where=st.floats(0.0, 1.0, exclude_max=True))
+def test_cut_dataset_or_model_exits_2_with_one_line(tmp_path_factory, role, where):
+    files = _pipeline_files(tmp_path_factory)
+    whole = files[role].read_bytes()
+    cut = tmp_path_factory.mktemp("cut") / f"cut-{role}.npz"
+    cut.write_bytes(whole[: int(where * len(whole))])
+    if role == "data":
+        argv = ["train-mv", "--data", str(cut), "--out", str(cut.with_name("m.npz"))]
+    else:
+        argv = ["eval", "--model", str(cut), "--data", str(files["data"]),
+                "--report", str(cut.with_name("e.csv"))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 2
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith("dynident: io: ") and str(cut) in err.getvalue()
+
+
+def test_synth_mv_with_the_same_seed_writes_identical_bytes(tmp_path):
+    argv = ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "30", "--seed", "4",
+            "--grid-points", "12", "--t-max", "5", "--prototypes", "0.7,1.1;1.2,0.8", "--out"]
+    assert main(argv + [str(tmp_path / "a.npz")]) == 0
+    assert main(argv + [str(tmp_path / "b.npz")]) == 0
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_schema_1_json_lines_dataset_exits_2_asking_to_regenerate(tmp_path, capsys):
+    data = tmp_path / "pairs.jsonl"
+    header = {"kind": "multiview-dataset", "schema_version": 1, "system_id": "ode27",
+              "shared_param_indices": [0, 1], "grid": {"t0": 0.0, "t_max": 5.0, "n_points": 2},
+              "n_views": 2, "n_pairs": 1, "labeled": False}
+    pair = {"states": [[[1.0, 1.0], [1.1, 0.9]]] * 2, "thetas": [[1.0, 1.0, 1.0]] * 2,
+            "x0s": [[1.0, 1.0]] * 2}
+    data.write_text(json.dumps(header) + "\n" + json.dumps(pair) + "\n")
+    rc = main(["train-mv", "--data", str(data), "--out", str(tmp_path / "m.npz")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        f"dynident: io: {data}: not a dynident archive (schema 1 JSON files are no longer "
+        "read; regenerate with synth-mv/train-mv)\n"
+    )
+
+
+def test_failed_archive_write_keeps_the_previous_file(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "pairs.npz"
+    argv = ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "6",
+            "--grid-points", "12", "--t-max", "5", "--out", str(data)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_array = np.lib.format.write_array
+    written = []
+
+    def fail_after_the_first_member(*args, **kwargs):
+        if written:
+            raise OSError("no space left on device")
+        written.append(args)
+        write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_after_the_first_member)
+    capsys.readouterr()
+    assert main(argv + ["--seed", "2"]) == 2
+    assert capsys.readouterr().err.startswith("dynident: io: no space left on device")
+    assert len(written) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_atomic_open_keeps_the_previous_file_when_a_write_fails(tmp_path):
+    target = tmp_path / "eval.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(target) as fh:
+            fh.write("section,row,col,value\n")
+            raise RuntimeError("failed part-way")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+    with atomic_open(target) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
 
 
 def test_threads_env_mirror_and_flag(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -17,7 +18,9 @@ from dynident.multiview import (
     IdentifierConfig,
     PartitionLayout,
     _loss_and_grads,
+    _read_archive,
     _standardized_inputs,
+    _write_archive,
     alignment_ratio,
     build_identifier,
     decode_forecast,
@@ -290,7 +293,7 @@ def test_dataset_redraw_gives_up_when_all_draws_diverge():
 
 def test_dataset_roundtrip_is_bit_exact(tmp_path):
     ds = _small_dataset(n_pairs=8)
-    path = tmp_path / "pairs.json"
+    path = tmp_path / "pairs.npz"
     save_dataset(path, ds)
     back = load_dataset(path)
     assert back.system_id == ds.system_id
@@ -307,8 +310,8 @@ def test_dataset_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_same_seed_writes_identical_dataset_files(tmp_path):
-    path_a = tmp_path / "a.json"
-    path_b = tmp_path / "b.json"
+    path_a = tmp_path / "a.npz"
+    path_b = tmp_path / "b.npz"
     save_dataset(path_a, _small_dataset(n_pairs=8, seed=5))
     save_dataset(path_b, _small_dataset(n_pairs=8, seed=5))
     assert path_a.read_bytes() == path_b.read_bytes()
@@ -619,7 +622,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     ds = _small_dataset(n_pairs=24)
     cfg = _small_config(epochs=2)
     model, _ = train_identifier(ds, cfg, seed=14)
-    path = tmp_path / "identifier.json"
+    path = tmp_path / "identifier.npz"
     save_identifier(path, model)
     back = load_identifier(path)
     assert back.config == model.config
@@ -636,21 +639,19 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 
 def _edited_checkpoint(tmp_path, edit):
-    """A saved model whose JSON record ``edit`` changed in place."""
-    import json
-
+    """A saved model whose arrays ``edit`` changed in place."""
     model = build_identifier(_small_dataset(n_pairs=12), _small_config(), seed=15)
-    path = tmp_path / "identifier.json"
+    path = tmp_path / "identifier.npz"
     save_identifier(path, model)
-    rec = json.loads(path.read_text())
-    edit(rec)
-    path.write_text(json.dumps(rec))
+    meta, arrays = _read_archive(path, "multiview-model")
+    edit(arrays)
+    _write_archive(path, meta, arrays)
     return path
 
 
 def test_checkpoint_with_a_short_preprocessing_row_is_rejected(tmp_path):
-    def cut_one_column(rec):
-        rec["prep"]["enc_mean"] = [row[:-1] for row in rec["prep"]["enc_mean"]]
+    def cut_one_column(arrays):
+        arrays["prep.enc_mean"] = arrays["prep.enc_mean"][:, :-1]
 
     path = _edited_checkpoint(tmp_path, cut_one_column)
     with pytest.raises(FileFormatError, match="prep.enc_mean has shape"):
@@ -658,14 +659,13 @@ def test_checkpoint_with_a_short_preprocessing_row_is_rejected(tmp_path):
 
 
 def test_checkpoint_whose_views_differ_in_shape_is_rejected(tmp_path):
-    """Widening view 1's hidden layer alone gives a record every tensor of
+    """Widening view 1's hidden layer alone gives a model every tensor of
     which is well formed, but whose views no longer stack."""
 
-    def widen_view_1(rec):
-        dec = rec["decoders"][1]
-        dec["weights"][0] = [row + [0.0] for row in dec["weights"][0]]
-        dec["biases"][0] = dec["biases"][0] + [0.0]
-        dec["weights"][1] = dec["weights"][1] + [[0.0] * len(dec["weights"][1][0])]
+    def widen_view_1(arrays):
+        arrays["decoders.1.weights.0"] = np.pad(arrays["decoders.1.weights.0"], ((0, 0), (0, 1)))
+        arrays["decoders.1.biases.0"] = np.append(arrays["decoders.1.biases.0"], 0.0)
+        arrays["decoders.1.weights.1"] = np.pad(arrays["decoders.1.weights.1"], ((0, 1), (0, 0)))
 
     path = _edited_checkpoint(tmp_path, widen_view_1)
     with pytest.raises(FileFormatError, match=r"decoders\[1\]\.weights\[0\] has shape"):
@@ -680,3 +680,183 @@ def test_loss_rejects_a_model_whose_views_differ_in_shape():
     )
     with pytest.raises(InvalidArgumentError, match="differ in shape"):
         multiview_loss(model, ds)
+
+
+# ---------------------------------------------------------------------------
+# Archive files: bit-exact round trips, and refusal of damaged files.
+# ---------------------------------------------------------------------------
+
+
+def _random_dataset(rng, n_views, n_pairs, labeled, t_pts=5, d=2, n_params=3):
+    """Arrays of arbitrary float64 bit patterns, -0.0, inf and NaN included."""
+    states = rng.standard_normal((n_views, n_pairs, t_pts, d)) * 10.0 ** rng.integers(
+        -300, 300, size=(n_views, n_pairs, t_pts, d)
+    )
+    states.flat[:3] = [-0.0, np.inf, np.nan]
+    return MultiviewDataset(
+        system_id="ode27",
+        shared_param_indices=(0, 1),
+        grid=TimeGrid.uniform(0.0, 2.5, t_pts),
+        states=states,
+        thetas=rng.uniform(0.5, 2.0, (n_views, n_pairs, n_params)),
+        x0s=rng.standard_normal((n_views, n_pairs, d)),
+        labels=rng.integers(0, 4, n_pairs) if labeled else None,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_views=st.sampled_from([2, 3]),
+    n_pairs=st.integers(1, 6),
+    labeled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dataset_archive_roundtrip_is_bit_exact(tmp_path_factory, n_views, n_pairs, labeled, seed):
+    ds = _random_dataset(np.random.default_rng(seed), n_views, n_pairs, labeled)
+    path = tmp_path_factory.mktemp("archive") / "pairs.npz"
+    save_dataset(path, ds)
+    back = load_dataset(path)
+    assert (back.system_id, back.shared_param_indices) == (ds.system_id, ds.shared_param_indices)
+    assert back.grid.points.tobytes() == ds.grid.points.tobytes()
+    for name in ("states", "thetas", "x0s"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+        assert getattr(back, name).shape == getattr(ds, name).shape
+    if labeled:
+        np.testing.assert_array_equal(back.labels, ds.labels)
+    else:
+        assert back.labels is None
+
+
+@functools.lru_cache(maxsize=None)
+def _archive_dataset(n_views):
+    return generate_multiview_dataset(
+        "ode27", 6, 4, (0, 1), n_views=n_views, grid_points=10, t_max=4.0
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    decoder=st.sampled_from(["direct", "field"]),
+    n_views=st.sampled_from([2, 3]),
+    depth=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_archive_roundtrip_is_bit_exact(tmp_path_factory, decoder, n_views, depth, seed):
+    ds = _archive_dataset(n_views)
+    cfg = _small_config(decoder=decoder, depth=depth, hidden_dim=5, n_init=2, block_sizes=(2, 1))
+    model = build_identifier(ds, cfg, seed=seed % 1000)
+    path = tmp_path_factory.mktemp("archive") / "model.npz"
+    save_identifier(path, model)
+    back = load_identifier(path)
+    assert back.config == model.config
+    assert (back.system_id, back.shared_param_indices) == (model.system_id, model.shared_param_indices)
+    assert back.n_views == n_views
+    for pa, pb in zip(model_parameters(model), model_parameters(back), strict=True):
+        assert pa.shape == pb.shape and pa.data.tobytes() == pb.data.tobytes()
+    for name in ("enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std"):
+        assert getattr(back.prep, name).tobytes() == getattr(model.prep, name).tobytes()
+    assert multiview_loss(back, ds) == multiview_loss(model, ds)
+
+
+def _payload_offsets(data: bytes) -> list:
+    """Offsets of the bytes that hold the members' contents (not the zip headers)."""
+    import io
+    import struct
+    import zipfile
+
+    offsets = []
+    for info in zipfile.ZipFile(io.BytesIO(data)).infolist():
+        name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26:info.header_offset + 30])
+        start = info.header_offset + 30 + name_len + extra_len
+        offsets.extend(range(start, start + info.compress_size))
+    return offsets
+
+
+_ARCHIVE_BYTES = {}
+
+
+def _archive_bytes(kind, tmp_dir):
+    """The bytes of a small saved dataset or model."""
+    if kind not in _ARCHIVE_BYTES:
+        path = tmp_dir / f"{kind}.npz"
+        ds = _archive_dataset(2)
+        if kind == "dataset":
+            save_dataset(path, ds)
+        else:
+            save_identifier(path, build_identifier(ds, _small_config(hidden_dim=5), seed=2))
+        _ARCHIVE_BYTES[kind] = path.read_bytes()
+    return _ARCHIVE_BYTES[kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["dataset", "model"]),
+    cut=st.booleans(),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    xor=st.integers(1, 255),
+)
+def test_cut_or_flipped_archive_is_refused(tmp_path_factory, kind, cut, where, xor):
+    """Cutting a file at any offset, or changing any one byte of a member's
+    contents, raises FileFormatError naming the file."""
+    tmp = tmp_path_factory.mktemp("damaged")
+    data = bytearray(_archive_bytes(kind, tmp))
+    if cut:
+        data = data[: int(where * len(data))]
+    else:
+        payload = _payload_offsets(bytes(data))
+        data[payload[int(where * len(payload))]] ^= xor
+    path = tmp / f"damaged-{kind}.npz"
+    path.write_bytes(bytes(data))
+    load = load_dataset if kind == "dataset" else load_identifier
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(path) in str(err.value)
+
+
+def test_archive_refuses_wrong_kind_missing_members_and_wrong_dtypes(tmp_path):
+    ds = _archive_dataset(2)
+    data, model = tmp_path / "pairs.npz", tmp_path / "model.npz"
+    save_dataset(data, ds)
+    save_identifier(model, build_identifier(ds, _small_config(hidden_dim=5), seed=2))
+    with pytest.raises(FileFormatError, match="not a multiview-model file"):
+        load_identifier(data)
+    with pytest.raises(FileFormatError, match="not a multiview-dataset file"):
+        load_dataset(model)
+
+    meta, arrays = _read_archive(data, "multiview-dataset")
+    _write_archive(tmp_path / "no-x0s.npz", meta, {k: v for k, v in arrays.items() if k != "x0s"})
+    with pytest.raises(FileFormatError, match=r"missing x0s\.npy"):
+        load_dataset(tmp_path / "no-x0s.npz")
+    _write_archive(tmp_path / "f32.npz", meta, {**arrays, "thetas": arrays["thetas"].astype(np.float32)})
+    with pytest.raises(FileFormatError, match="thetas has dtype float32"):
+        load_dataset(tmp_path / "f32.npz")
+    _write_archive(tmp_path / "labels.npz", meta, {**arrays, "labels": np.zeros(ds.n_pairs)})
+    with pytest.raises(FileFormatError, match="labels has dtype float64"):
+        load_dataset(tmp_path / "labels.npz")
+    _write_archive(tmp_path / "v1.npz", {**meta, "schema_version": 1}, arrays)
+    with pytest.raises(FileFormatError, match="schema_version 1"):
+        load_dataset(tmp_path / "v1.npz")
+    _write_archive(tmp_path / "short.npz", {**meta, "n_pairs": ds.n_pairs + 1}, arrays)
+    with pytest.raises(FileFormatError, match="meta.json declares"):
+        load_dataset(tmp_path / "short.npz")
+    _write_archive(tmp_path / "idx.npz", {**meta, "shared_param_indices": [0, 9]}, arrays)
+    with pytest.raises(FileFormatError, match=r"shared_param_indices \(0, 9\) out of range"):
+        load_dataset(tmp_path / "idx.npz")
+
+    meta, arrays = _read_archive(model, "multiview-model")
+    del arrays["encoders.1.biases.1"]
+    _write_archive(tmp_path / "no-bias.npz", meta, arrays)
+    with pytest.raises(FileFormatError, match="weights and biases must pair up"):
+        load_identifier(tmp_path / "no-bias.npz")
+
+
+def test_archive_entries_carry_the_fixed_timestamp(tmp_path):
+    import zipfile
+
+    path = tmp_path / "pairs.npz"
+    save_dataset(path, _archive_dataset(2))
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == ["meta.json", "states.npy", "thetas.npy", "x0s.npy"]
+    assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+    assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
