@@ -12,9 +12,12 @@ report    re-render a benchmark CSV as a markdown table
 
 Every file-writing command drops a ``<output>.manifest.json`` next to its
 outputs recording the effective configuration, catalog version, per-stage
-seeds, wall time and sha256 digests of everything written.  Reruns with the
-same flags reproduce outputs byte-for-byte (``--threads 1`` guaranteed;
-current worker pools reduce in task order, so any thread count agrees).
+seeds, thread count, wall time and sha256 digests of everything written.
+Reruns with the same flags reproduce outputs byte-for-byte; ``--threads``
+(or ``DYNIDENT_THREADS``) is only recorded, as everything runs on one thread.
+
+Each subcommand's flags are generated from its schema in ``_SCHEMAS``, so a
+value is checked once whether it comes from a flag or a ``--config`` file.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure.
 Failures print a single ``dynident: <kind>: <message>`` line to stderr.
@@ -30,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,21 +64,6 @@ from .systems import CATALOG, CATALOG_VERSION, get_system, sample_parameters
 
 SCHEMA_VERSION = 1
 
-_IDENTIFIER_FIELDS = (
-    "block_sizes",
-    "shared_block",
-    "hidden_dim",
-    "depth",
-    "activation",
-    "keep_fraction",
-    "n_init",
-    "reg_align",
-    "decoder",
-    "lr",
-    "batch_size",
-    "epochs",
-)
-
 
 # ---------------------------------------------------------------------------
 # Configuration records.
@@ -84,20 +72,25 @@ _IDENTIFIER_FIELDS = (
 
 @dataclass(frozen=True)
 class Opt:
-    """One config key: type, default, and an optional value check."""
+    """One config key: type, default, an optional value check, and its flag.
+
+    The flag is ``--`` plus the key with ``_`` turned into ``-`` unless
+    ``flag`` names another spelling.
+    """
 
     type: type
     default: object = None
     required: bool = False
     check: Optional[Callable] = None  # value -> error message or None
     parse: Optional[Callable] = None  # raw value -> stored value
+    flag: Optional[str] = None
+    help: Optional[str] = None
 
 
 @dataclass
 class RunConfig:
     command: str
     values: dict
-    schema_version: int = SCHEMA_VERSION
 
     def __getitem__(self, key):
         return self.values[key]
@@ -115,17 +108,30 @@ def _choice(*allowed):
     return lambda v: None if v in allowed else f"must be one of {', '.join(allowed)}"
 
 
+def _str_tuple(raw):
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a comma-separated string, got {raw!r}")
+    return tuple(raw.split(","))
+
+
 def _int_tuple(raw):
     if isinstance(raw, (list, tuple)):
         return tuple(int(v) for v in raw)
-    return tuple(int(tok) for tok in str(raw).split(","))
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a comma-separated string or a list, got {raw!r}")
+    return tuple(int(tok) for tok in raw.split(","))
 
 
 def _prototype_rows(raw):
     if isinstance(raw, (list, tuple)):
-        return [list(map(float, row)) for row in raw]
-    rows = [tok for tok in str(raw).split(";") if tok.strip()]
-    return [[float(v) for v in row.split(",")] for row in rows]
+        rows = [list(map(float, row)) for row in raw]
+    elif isinstance(raw, str):
+        rows = [[float(v) for v in tok.split(",")] for tok in raw.split(";") if tok.strip()]
+    else:
+        raise TypeError(f"expected ';'-separated rows or a list of rows, got {raw!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"rows differ in length: {[len(row) for row in rows]}")
+    return rows
 
 
 def _coerce(key: str, opt: Opt, value):
@@ -210,30 +216,24 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seeds: dict
-    threads: int
-    wall_time_s: float
-    outputs: dict = field(default_factory=dict)  # basename -> sha256
-    catalog_version: str = CATALOG_VERSION
-    schema_version: int = SCHEMA_VERSION
-
-
-def write_manifest(primary_output, manifest: RunManifest) -> str:
-    path = f"{primary_output}.manifest.json"
+def write_manifest(cfg: RunConfig, outputs, seeds: dict, threads: int,
+                   wall_time_s: float) -> str:
+    """Write ``<outputs[0]>.manifest.json``: the effective config, the seeds,
+    the thread count, the wall time and the sha256 of every output."""
+    config = {"schema_version": SCHEMA_VERSION}
+    for key, value in cfg.values.items():
+        config[key] = list(value) if isinstance(value, tuple) else value
     doc = {
-        "schema_version": manifest.schema_version,
-        "command": manifest.command,
-        "catalog_version": manifest.catalog_version,
-        "config": manifest.config,
-        "seeds": manifest.seeds,
-        "threads": manifest.threads,
-        "wall_time_s": manifest.wall_time_s,
-        "outputs": manifest.outputs,
+        "schema_version": SCHEMA_VERSION,
+        "command": cfg.command,
+        "catalog_version": CATALOG_VERSION,
+        "config": config,
+        "seeds": seeds,
+        "threads": threads,
+        "wall_time_s": wall_time_s,
+        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
+    path = f"{outputs[0]}.manifest.json"
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -291,6 +291,16 @@ def emit_report(reports, csv_path=None, md_path=None) -> dict:
 # Subcommand schemas.
 # ---------------------------------------------------------------------------
 
+
+def _model_opt(f: dataclasses.Field) -> Opt:
+    """The train-mv key of one :class:`IdentifierConfig` field.  Its value
+    is checked by building the ``IdentifierConfig`` (see :func:`parse_argv`)."""
+    if f.name == "block_sizes":
+        return Opt(str, default=f.default, parse=_int_tuple, flag="--blocks",
+                   help="latent block sizes, e.g. 6,2")
+    return Opt(type(f.default), default=f.default)
+
+
 _SCHEMAS = {
     "systems": {},
     "simulate": {
@@ -300,66 +310,62 @@ _SCHEMAS = {
         "grid_points": Opt(int, default=100, check=_ge(2)),
         "t_max": Opt(float, check=_gt(0.0)),
         "x0_jitter": Opt(float, default=0.0, check=_ge(0.0)),
-        "derivs": Opt(bool, default=True),
+        "derivs": Opt(bool, default=True,
+                      help="store exact derivatives alongside states (default on)"),
         "out": Opt(str, required=True),
     },
     "bench": {
-        "systems": Opt(str, required=True, parse=lambda raw: tuple(str(raw).split(","))),
+        "systems": Opt(str, required=True, parse=_str_tuple,
+                       help="comma-separated catalog ids"),
         "draws": Opt(int, default=100, check=_ge(1)),
         "method": Opt(str, default="deriv", check=_choice("traj", "deriv", "closed")),
         "noise": Opt(float, default=0.0, check=_ge(0.0)),
         "seed": Opt(int, default=7),
         "grid_points": Opt(int, default=100, check=_ge(2)),
-        "out": Opt(str, required=True),
+        "out": Opt(str, required=True, help="CSV path; markdown written alongside"),
     },
     "synth-mv": {
         "system": Opt(str, required=True),
-        "shared": Opt(str, required=True, parse=_int_tuple),
+        "shared": Opt(str, required=True, parse=_int_tuple,
+                      help="shared parameter indices, e.g. 0,1"),
         "pairs": Opt(int, default=2000, check=_ge(1)),
         "seed": Opt(int, default=7),
         "views": Opt(int, default=2, check=_ge(2)),
         "grid_points": Opt(int, default=50, check=_ge(2)),
         "t_max": Opt(float, check=_gt(0.0)),
         "x0_jitter": Opt(float, default=0.1, check=_ge(0.0)),
-        "prototypes": Opt(str, parse=_prototype_rows),
+        "prototypes": Opt(str, parse=_prototype_rows,
+                          help="discrete shared values, rows ';'-separated: '0.7,1.6;1.7,0.7'"),
         "out": Opt(str, required=True),
     },
     "train-mv": {
         "data": Opt(str, required=True),
         "out": Opt(str, required=True),
         "seed": Opt(int, default=0),
-        "block_sizes": Opt(str, default=(4, 4), parse=_int_tuple),
-        "shared_block": Opt(int, default=0),
-        "hidden_dim": Opt(int, default=64, check=_ge(1)),
-        "depth": Opt(int, default=3, check=_ge(1)),
-        "activation": Opt(str, default="tanh", check=_choice("tanh", "relu")),
-        "keep_fraction": Opt(float, default=0.5, check=_gt(0.0)),
-        "n_init": Opt(int, default=10, check=_ge(1)),
-        "reg_align": Opt(float, default=10.0, check=_ge(0.0)),
-        "decoder": Opt(str, default="direct", check=_choice("direct", "field")),
-        "lr": Opt(float, default=1e-3, check=_gt(0.0)),
-        "batch_size": Opt(int, default=64, check=_ge(1)),
-        "epochs": Opt(int, default=200, check=_ge(0)),
+        **{f.name: _model_opt(f) for f in dataclasses.fields(IdentifierConfig)},
     },
     "eval": {
         "model": Opt(str, required=True),
         "data": Opt(str, required=True),
-        "report": Opt(str, required=True),
+        "report": Opt(str, required=True, help="CSV path; markdown written alongside"),
         "seed": Opt(int, default=0),
     },
     "report": {
-        "input": Opt(str, required=True),
-        "out": Opt(str, required=True),
+        "input": Opt(str, required=True, flag="--in", help="benchmark CSV"),
+        "out": Opt(str, required=True, help="markdown path"),
     },
 }
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.
+# Subcommand implementations.  A handler's docstring is its help line.  Each
+# handler that writes files returns their paths, the one the manifest is
+# named after first, and the seeds it used.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_systems(cfg: RunConfig, threads: int) -> None:
+def _cmd_systems(cfg: RunConfig) -> None:
+    """list the ODE catalog as TSV"""
     print("id\tname\td\tN\tlinear")
     for system in CATALOG.values():
         linear = "true" if system.basis is not None else "false"
@@ -369,8 +375,8 @@ def _cmd_systems(cfg: RunConfig, threads: int) -> None:
         )
 
 
-def _cmd_simulate(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_simulate(cfg: RunConfig):
+    """integrate sampled draws and persist trajectories"""
     system = get_system(cfg["system"])
     seed = cfg["seed"]
     t_max = cfg["t_max"] if cfg["t_max"] is not None else system.t_max
@@ -399,19 +405,11 @@ def _cmd_simulate(cfg: RunConfig, threads: int) -> None:
         for i in range(len(draws))
     ]
     save_trajectories(cfg["out"], trajectories)
-    manifest = RunManifest(
-        command="simulate",
-        config=_manifest_config(cfg),
-        seeds={"sample": seed},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={os.path.basename(cfg["out"]): _sha256(cfg["out"])},
-    )
-    write_manifest(cfg["out"], manifest)
+    return [cfg["out"]], {"sample": seed}
 
 
-def _cmd_bench(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_bench(cfg: RunConfig):
+    """run the estimation RMSE benchmark"""
     reports = benchmark_rmse(
         cfg["systems"],
         cfg["draws"],
@@ -419,26 +417,14 @@ def _cmd_bench(cfg: RunConfig, threads: int) -> None:
         cfg["seed"],
         noise=cfg["noise"],
         grid_points=cfg["grid_points"],
-        threads=threads,
     )
     md_path = f"{os.path.splitext(cfg['out'])[0]}.md"
     emit_report(reports, csv_path=cfg["out"], md_path=md_path)
-    manifest = RunManifest(
-        command="bench",
-        config=_manifest_config(cfg),
-        seeds={"bench": cfg["seed"]},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={
-            os.path.basename(cfg["out"]): _sha256(cfg["out"]),
-            os.path.basename(md_path): _sha256(md_path),
-        },
-    )
-    write_manifest(cfg["out"], manifest)
+    return [cfg["out"], md_path], {"bench": cfg["seed"]}
 
 
-def _cmd_synth_mv(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_synth_mv(cfg: RunConfig):
+    """generate a paired-view dataset (.npz archive)"""
     prototypes = cfg["prototypes"]
     dataset = generate_multiview_dataset(
         cfg["system"],
@@ -452,34 +438,21 @@ def _cmd_synth_mv(cfg: RunConfig, threads: int) -> None:
         shared_prototypes=None if prototypes is None else np.asarray(prototypes),
     )
     save_dataset(cfg["out"], dataset)
-    manifest = RunManifest(
-        command="synth-mv",
-        config=_manifest_config(cfg),
-        seeds={"generate": cfg["seed"]},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={os.path.basename(cfg["out"]): _sha256(cfg["out"])},
+    return [cfg["out"]], {"generate": cfg["seed"]}
+
+
+def _identifier_config(cfg: RunConfig) -> IdentifierConfig:
+    return IdentifierConfig(
+        **{f.name: cfg[f.name] for f in dataclasses.fields(IdentifierConfig)}
     )
-    write_manifest(cfg["out"], manifest)
 
 
-def _cmd_train_mv(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_train_mv(cfg: RunConfig):
+    """train a multiview identifier (.npz archive)"""
     dataset = load_dataset(cfg["data"])
-    identifier_cfg = IdentifierConfig(
-        **{name: cfg[name] for name in _IDENTIFIER_FIELDS}
-    )
-    model, _history = train_identifier(dataset, identifier_cfg, seed=cfg["seed"])
+    model, _history = train_identifier(dataset, _identifier_config(cfg), seed=cfg["seed"])
     save_identifier(cfg["out"], model)
-    manifest = RunManifest(
-        command="train-mv",
-        config=_manifest_config(cfg),
-        seeds={"train": cfg["seed"]},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={os.path.basename(cfg["out"]): _sha256(cfg["out"])},
-    )
-    write_manifest(cfg["out"], manifest)
+    return [cfg["out"]], {"train": cfg["seed"]}
 
 
 def _eval_tables(model, dataset, seed: int):
@@ -521,8 +494,8 @@ def _eval_tables(model, dataset, seed: int):
     return accuracy, factor_names, r2_rows, ate_rows
 
 
-def _cmd_eval(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_eval(cfg: RunConfig):
+    """probe a trained identifier against a dataset"""
     model = load_identifier(cfg["model"])
     dataset = load_dataset(cfg["data"])
     if model.system_id != dataset.system_id:
@@ -589,23 +562,11 @@ def _cmd_eval(cfg: RunConfig, threads: int) -> None:
         )
     with atomic_open(md_path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-    manifest = RunManifest(
-        command="eval",
-        config=_manifest_config(cfg),
-        seeds={"probe": cfg["seed"]},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={
-            os.path.basename(report_path): _sha256(report_path),
-            os.path.basename(md_path): _sha256(md_path),
-        },
-    )
-    write_manifest(report_path, manifest)
+    return [report_path, md_path], {"probe": cfg["seed"]}
 
 
-def _cmd_report(cfg: RunConfig, threads: int) -> None:
-    t_start = time.perf_counter()
+def _cmd_report(cfg: RunConfig):
+    """re-render a benchmark CSV as markdown"""
     with open(cfg["input"], newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != _REPORT_COLUMNS:
@@ -613,38 +574,24 @@ def _cmd_report(cfg: RunConfig, threads: int) -> None:
                 f"input: expected columns {','.join(_REPORT_COLUMNS)}; "
                 f"got {','.join(reader.fieldnames or ())}"
             )
-        reports = [
-            EstimateReport(
-                system_id=row["system_id"],
-                method=row["method"],
-                n_draws=int(row["n_draws"]),
-                noise=float(row["noise"]),
-                rmse_mean=float(row["rmse_mean"]),
-                rmse_std=float(row["rmse_std"]),
-                n_failures=int(row["n_failures"]),
-                wall_time_s=0.0,
-            )
-            for row in reader
-        ]
+        try:
+            reports = [
+                EstimateReport(
+                    system_id=row["system_id"],
+                    method=row["method"],
+                    n_draws=int(row["n_draws"]),
+                    noise=float(row["noise"]),
+                    rmse_mean=float(row["rmse_mean"]),
+                    rmse_std=float(row["rmse_std"]),
+                    n_failures=int(row["n_failures"]),
+                    wall_time_s=0.0,
+                )
+                for row in reader
+            ]
+        except (TypeError, ValueError) as exc:  # TypeError: a row with too few cells
+            raise ConfigError(f"input: line {reader.line_num}: {exc}") from exc
     emit_report(reports, md_path=cfg["out"])
-    manifest = RunManifest(
-        command="report",
-        config=_manifest_config(cfg),
-        seeds={},
-        threads=threads,
-        wall_time_s=time.perf_counter() - t_start,
-        outputs={os.path.basename(cfg["out"]): _sha256(cfg["out"])},
-    )
-    write_manifest(cfg["out"], manifest)
-
-
-def _manifest_config(cfg: RunConfig) -> dict:
-    snapshot = {"schema_version": cfg.schema_version}
-    for key, value in cfg.values.items():
-        if isinstance(value, tuple):
-            value = list(value)
-        snapshot[key] = value
-    return snapshot
+    return [cfg["out"]], {}
 
 
 _HANDLERS = {
@@ -674,82 +621,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynident", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-
-    def add(name, help_text):
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for command, schema in _SCHEMAS.items():
         # Subparsers inherit _Parser, so their errors raise _UsageError too.
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker pool bound (default: DYNIDENT_THREADS or 1)")
-        p.add_argument("--config", default=None, metavar="FILE",
+        p = sub.add_parser(command, help=_HANDLERS[command].__doc__)
+        p.add_argument("--threads", type=int,
+                       help="recorded in the manifest (default: DYNIDENT_THREADS or 1)")
+        p.add_argument("--config", metavar="FILE",
                        help="JSON config file; flags override its values")
-        return p
-
-    p = add("systems", "list the ODE catalog as TSV")
-    p.add_argument("action", choices=["list"])
-
-    p = add("simulate", "integrate sampled draws and persist trajectories")
-    p.add_argument("--system", default=None)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--x0-jitter", dest="x0_jitter", type=float, default=None)
-    p.add_argument("--derivs", action=argparse.BooleanOptionalAction, default=None,
-                   help="store exact derivatives alongside states (default on)")
-    p.add_argument("--out", default=None)
-
-    p = add("bench", "run the estimation RMSE benchmark")
-    p.add_argument("--systems", default=None, help="comma-separated catalog ids")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--method", default=None, choices=["traj", "deriv", "closed"])
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--out", default=None, help="CSV path; markdown written alongside")
-
-    p = add("synth-mv", "generate a paired-view dataset (.npz archive)")
-    p.add_argument("--system", default=None)
-    p.add_argument("--shared", default=None, help="shared parameter indices, e.g. 0,1")
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--views", type=int, default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--x0-jitter", dest="x0_jitter", type=float, default=None)
-    p.add_argument("--prototypes", default=None,
-                   help="discrete shared values, rows ';'-separated: '0.7,1.6;1.7,0.7'")
-    p.add_argument("--out", default=None)
-
-    p = add("train-mv", "train a multiview identifier (.npz archive)")
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--blocks", dest="block_sizes", default=None,
-                   help="latent block sizes, e.g. 6,2")
-    p.add_argument("--shared-block", dest="shared_block", type=int, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--activation", default=None, choices=["tanh", "relu"])
-    p.add_argument("--keep-fraction", dest="keep_fraction", type=float, default=None)
-    p.add_argument("--n-init", dest="n_init", type=int, default=None)
-    p.add_argument("--reg-align", dest="reg_align", type=float, default=None)
-    p.add_argument("--decoder", default=None, choices=["direct", "field"])
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-
-    p = add("eval", "probe a trained identifier against a dataset")
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--report", default=None, help="CSV path; markdown written alongside")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = add("report", "re-render a benchmark CSV as markdown")
-    p.add_argument("--in", dest="input", default=None, help="benchmark CSV")
-    p.add_argument("--out", default=None, help="markdown path")
-
+        if command == "systems":
+            p.add_argument("action", choices=["list"])
+        # Every flag defaults to None, "not given", so config-file values
+        # survive; the schema supplies the defaults and checks every value.
+        for key, opt in schema.items():
+            flag = opt.flag or "--" + key.replace("_", "-")
+            if opt.type is bool:
+                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                               help=opt.help)
+            else:
+                p.add_argument(flag, dest=key, type=opt.type, help=opt.help)
     return parser
 
 
@@ -772,33 +662,45 @@ def _error_line(kind: str, exc) -> None:
     print(f"dynident: {kind}: {message}", file=sys.stderr)
 
 
+def parse_argv(argv=None) -> tuple[RunConfig, int]:
+    """Resolve a command line to its checked config and thread count.
+
+    Flags override the ``--config`` file, which overrides the defaults.
+    train-mv's model keys are checked by building an
+    :class:`IdentifierConfig`, before any input file is opened.
+    """
+    namespace = _build_parser().parse_args(argv)
+    threads = _resolve_threads(namespace.threads)
+    schema = _SCHEMAS[namespace.command]
+    overrides = {k: v for k, v in vars(namespace).items() if k in schema}
+    cfg = parse_config(namespace.command, schema, file_path=namespace.config,
+                       overrides=overrides)
+    if cfg.command == "train-mv":
+        _identifier_config(cfg)
+    return cfg, threads
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        namespace = parser.parse_args(argv)
-        command = namespace.command
-        threads = _resolve_threads(namespace.threads)
-        schema = _SCHEMAS[command]
-        overrides = {k: v for k, v in vars(namespace).items() if k in schema}
-        cfg = parse_config(command, schema, file_path=namespace.config,
-                           overrides=overrides)
-        _HANDLERS[command](cfg, threads)
+        cfg, threads = parse_argv(argv)
+        t_start = time.perf_counter()
+        written = _HANDLERS[cfg.command](cfg)
+        if written is not None:
+            outputs, seeds = written
+            write_manifest(cfg, outputs, seeds, threads, time.perf_counter() - t_start)
         return 0
     except _UsageError as exc:
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(_build_parser().format_usage(), end="", file=sys.stderr)
         _error_line("usage", exc)
         return 1
     except (ConfigError, InvalidArgumentError) as exc:
         _error_line("config", exc)
         return 1
-    except FileFormatError as exc:
+    except (FileFormatError, OSError) as exc:
         _error_line("io", exc)
         return 2
     except DynidentError as exc:
         _error_line("runtime", exc)
-        return 2
-    except OSError as exc:
-        _error_line("io", exc)
         return 2
 
 

@@ -31,7 +31,6 @@ taking start j together until each is good enough.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence
 
@@ -488,7 +487,6 @@ def benchmark_rmse(
     *,
     noise: float = 0.0,
     grid_points: int = 100,
-    threads: int = 1,
 ) -> list[EstimateReport]:
     """Run the sampled-draw estimation protocol over catalog systems.
 
@@ -501,10 +499,9 @@ def benchmark_rmse(
     excluded from the mean/std.
 
     Everything is a pure function of the arguments: the same call returns
-    identical reports (wall time aside) at any ``threads`` setting, since
-    draws are independent and results are reduced in draw order.
-    ``threads`` spreads closed and deriv fits over a pool; trajectory
-    matching fits all draws in lockstep and does not use it.
+    identical reports, wall time aside.  Closed and deriv fits run one draw
+    after another; trajectory matching fits all draws of a system in
+    lockstep.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -559,11 +556,7 @@ def benchmark_rmse(
                 except (IllConditionedError, EstimationFailureError):
                     return None
 
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(fit_one, range(n_draws)))
-            else:
-                results = [fit_one(i) for i in range(n_draws)]
+            results = [fit_one(i) for i in range(n_draws)]
 
         rmses = np.array([r for r in results if r is not None])
         n_failures = sum(1 for r in results if r is None)

@@ -73,11 +73,9 @@ class PartitionLayout:
         sizes = tuple(int(s) for s in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise InvalidArgumentError(
-                "PartitionLayout: need at least two blocks of positive size"
-            )
+            raise InvalidArgumentError("block_sizes: need at least two blocks of positive size")
         if not 0 <= self.shared_block < len(sizes):
-            raise InvalidArgumentError("PartitionLayout: shared_block out of range")
+            raise InvalidArgumentError("shared_block: must index one of the blocks")
 
     @property
     def latent_dim(self) -> int:
@@ -420,6 +418,7 @@ def load_dataset(path) -> MultiviewDataset:
     """Read a dataset written by :func:`save_dataset`."""
     meta, arrays = _read_archive(path, _DATASET_KIND)
     try:
+        get_system(meta["system_id"])  # refuses an id outside the catalog
         dataset = MultiviewDataset(
             system_id=meta["system_id"],
             shared_param_indices=tuple(meta["shared_param_indices"]),
@@ -464,20 +463,23 @@ class IdentifierConfig:
     epochs: int = 200
 
     def __post_init__(self):
+        """Raise an error naming the first field out of range."""
         object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
-        PartitionLayout(self.block_sizes, self.shared_block)  # validates
-        if self.decoder not in ("direct", "field"):
-            raise ConfigError(f"decoder must be 'direct' or 'field', got {self.decoder!r}")
-        if self.hidden_dim < 1 or self.depth < 1:
-            raise ConfigError("hidden_dim and depth must be positive")
-        if not 0.0 < self.keep_fraction <= 1.0:
-            raise ConfigError("keep_fraction must be in (0, 1]")
-        if self.n_init < 1:
-            raise ConfigError("n_init must be >= 1")
-        if self.reg_align < 0:
-            raise ConfigError("reg_align must be >= 0")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("lr must be > 0, batch_size >= 1, epochs >= 0")
+        PartitionLayout(self.block_sizes, self.shared_block)  # checks both fields
+        for key, ok, rule in (
+            ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
+            ("depth", self.depth >= 1, "must be >= 1"),
+            ("activation", self.activation in ("tanh", "relu"), "must be one of tanh, relu"),
+            ("keep_fraction", 0.0 < self.keep_fraction <= 1.0, "must be in (0, 1]"),
+            ("n_init", self.n_init >= 1, "must be >= 1"),
+            ("reg_align", self.reg_align >= 0, "must be >= 0"),
+            ("decoder", self.decoder in ("direct", "field"), "must be one of direct, field"),
+            ("lr", self.lr > 0, "must be > 0"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key}: {rule}")
 
     @property
     def layout(self) -> PartitionLayout:
@@ -1251,6 +1253,7 @@ def load_identifier(path) -> IdentifierModel:
     """Read a model written by :func:`save_identifier`."""
     meta, arrays = _read_archive(path, _MODEL_KIND)
     try:
+        get_system(meta["system_id"])  # refuses an id outside the catalog
         cfg_raw = dict(meta["config"])
         cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
         config = IdentifierConfig(**cfg_raw)

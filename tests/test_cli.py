@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -18,6 +19,7 @@ from dynident.cli import (
     _sci1,
     emit_report,
     main,
+    parse_argv,
     parse_config,
 )
 from dynident.atomic import atomic_open
@@ -347,6 +349,153 @@ def test_validation_error_names_the_key(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_a_value_is_checked_once_whether_flag_or_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "foo"}))
+    base = ["bench", "--systems", "ode2", "--out", str(tmp_path / "x.csv")]
+    for argv in (base + ["--method", "foo"], base + ["--config", str(cfg)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "dynident: config: method: must be one of traj, deriv, closed\n"
+        )
+
+
+def test_train_mv_checks_its_model_keys_before_opening_the_data(tmp_path, capsys):
+    rc = main(["train-mv", "--keep-fraction", "1.5", "--data", str(tmp_path / "absent.npz"),
+               "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    assert capsys.readouterr().err == "dynident: config: keep_fraction: must be in (0, 1]\n"
+
+
+def _wrong_json_values(opt):
+    """JSON values of a type ``opt`` refuses."""
+    anything = {
+        "null": st.none(), "bool": st.booleans(), "int": st.integers(),
+        "float": st.floats(allow_nan=False, allow_infinity=False),
+        "str": st.text(max_size=8), "list": st.lists(st.integers(), max_size=3),
+        "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    }
+    if opt.parse is not None:  # strings, and for some keys lists, are parsed
+        accepted = {"str", "list"}
+    else:
+        accepted = {bool: {"bool"}, int: {"int"}, float: {"int", "float"},
+                    str: {"str"}}[opt.type]
+    return st.one_of(*(v for name, v in anything.items() if name not in accepted))
+
+
+_SCHEMA_KEYS = [(command, key) for command, schema in _SCHEMAS.items() for key in schema]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_key=st.sampled_from(_SCHEMA_KEYS), data=st.data())
+def test_wrong_typed_config_value_exits_1_naming_the_key(tmp_path_factory, command_key, data):
+    command, key = command_key
+    value = data.draw(_wrong_json_values(_SCHEMAS[command][key]))
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg)])
+    assert rc == 1
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith(f"dynident: config: {key}:")
+
+
+# (option strings, dest, value type) of every subcommand's options, as argparse
+# declares them; a flag without a type yields strings.
+_CLI_SURFACE = {
+    "systems": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        ((), "action", str),
+    ],
+    "simulate": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--system",), "system", str),
+        (("--draws",), "draws", int),
+        (("--seed",), "seed", int),
+        (("--grid-points",), "grid_points", int),
+        (("--t-max",), "t_max", float),
+        (("--x0-jitter",), "x0_jitter", float),
+        (("--derivs", "--no-derivs"), "derivs", bool),
+        (("--out",), "out", str),
+    ],
+    "bench": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--systems",), "systems", str),
+        (("--draws",), "draws", int),
+        (("--method",), "method", str),
+        (("--noise",), "noise", float),
+        (("--seed",), "seed", int),
+        (("--grid-points",), "grid_points", int),
+        (("--out",), "out", str),
+    ],
+    "synth-mv": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--system",), "system", str),
+        (("--shared",), "shared", str),
+        (("--pairs",), "pairs", int),
+        (("--seed",), "seed", int),
+        (("--views",), "views", int),
+        (("--grid-points",), "grid_points", int),
+        (("--t-max",), "t_max", float),
+        (("--x0-jitter",), "x0_jitter", float),
+        (("--prototypes",), "prototypes", str),
+        (("--out",), "out", str),
+    ],
+    "train-mv": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--data",), "data", str),
+        (("--out",), "out", str),
+        (("--seed",), "seed", int),
+        (("--blocks",), "block_sizes", str),
+        (("--shared-block",), "shared_block", int),
+        (("--hidden-dim",), "hidden_dim", int),
+        (("--depth",), "depth", int),
+        (("--activation",), "activation", str),
+        (("--keep-fraction",), "keep_fraction", float),
+        (("--n-init",), "n_init", int),
+        (("--reg-align",), "reg_align", float),
+        (("--decoder",), "decoder", str),
+        (("--lr",), "lr", float),
+        (("--batch-size",), "batch_size", int),
+        (("--epochs",), "epochs", int),
+    ],
+    "eval": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--model",), "model", str),
+        (("--data",), "data", str),
+        (("--report",), "report", str),
+        (("--seed",), "seed", int),
+    ],
+    "report": [
+        (("--threads",), "threads", int),
+        (("--config",), "config", str),
+        (("--in",), "input", str),
+        (("--out",), "out", str),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        command: [
+            (tuple(a.option_strings), a.dest,
+             bool if isinstance(a, argparse.BooleanOptionalAction) else a.type or str)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for command, p in sub.choices.items()
+    }
+    assert surface == _CLI_SURFACE
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"learning_rate": 1e-3}))
@@ -368,6 +517,24 @@ def test_unknown_system_id_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "z.jsonl")])
     assert rc == 1
     assert "nope" in capsys.readouterr().err
+
+
+def test_ragged_prototypes_exit_1(tmp_path, capsys):
+    rc = main(["synth-mv", "--system", "ode27", "--shared", "0,1",
+               "--prototypes", "0.7,1.6;1.7", "--out", str(tmp_path / "p.npz")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("dynident: config: prototypes: ")
+
+
+def test_report_rejects_a_non_numeric_cell(tmp_path, capsys):
+    bad = tmp_path / "bench.csv"
+    bad.write_text(",".join(_REPORT_COLUMNS) + "\node2,deriv,abc,0.0,0.1,0.1,0\n")
+    rc = main(["report", "--in", str(bad), "--out", str(tmp_path / "x.md")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("dynident: config: input: ")
+    assert "'abc'" in err
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):
@@ -482,6 +649,29 @@ def test_cut_dataset_or_model_exits_2_with_one_line(tmp_path_factory, role, wher
     assert err.getvalue().startswith("dynident: io: ") and str(cut) in err.getvalue()
 
 
+def test_unknown_system_id_in_dataset_or_model_exits_2(tmp_path_factory, capsys):
+    files = _pipeline_files(tmp_path_factory)
+    root = tmp_path_factory.mktemp("nope")
+    renamed = {}
+    for role, kind in (("data", "multiview-dataset"), ("model", "multiview-model")):
+        meta, arrays = _read_archive(files[role], kind)
+        meta["system_id"] = "nope"
+        renamed[role] = root / f"{role}.npz"
+        _write_archive(renamed[role], meta, arrays)
+    for argv, path in (
+        (["train-mv", "--data", str(renamed["data"]), "--out", str(root / "m.npz")],
+         renamed["data"]),
+        (["eval", "--model", str(renamed["model"]), "--data", str(files["data"]),
+          "--report", str(root / "e.csv")], renamed["model"]),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"dynident: io: {path}: ") and "'nope'" in err
+    assert not (root / "m.npz").exists()
+
+
 def test_synth_mv_with_the_same_seed_writes_identical_bytes(tmp_path):
     argv = ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "30", "--seed", "4",
             "--grid-points", "12", "--t-max", "5", "--prototypes", "0.7,1.1;1.2,0.8", "--out"]
@@ -590,9 +780,5 @@ def test_readme_commands_parse():
     lines = [ln.strip() for ln in readme.splitlines() if ln.strip().startswith("dynident ")]
     lines += re.findall(r"`(dynident [^`]+)`", readme)
     assert len(lines) >= 5
-    parser = _build_parser()
     for line in lines:
-        namespace = parser.parse_args(shlex.split(line)[1:])
-        schema = _SCHEMAS[namespace.command]
-        overrides = {k: v for k, v in vars(namespace).items() if k in schema}
-        parse_config(namespace.command, schema, overrides=overrides)
+        parse_argv(shlex.split(line)[1:])
