@@ -5,9 +5,11 @@ Three layers:
 * known-form estimation — closed-form least squares, derivative matching and
   trajectory matching against a catalog of ODE systems (``systems``,
   ``solver``, ``estimators``);
-* multiview representation identification — an encoder/decoder trained so a
+* multiview representation identification — an encoder/decoder, its
+  parameters one flat buffer, trained with closed-form gradients so a
   designated latent block recovers exactly the parameters shared across
-  paired views (``autodiff``, ``multiview``);
+  paired views (``multiview``; ``autodiff`` holds Adam, the gradient check
+  and the reference tape the tests compare those gradients with);
 * downstream evaluation — partition classification, nonlinear R² probes and
   doubly-robust treatment-effect estimation on learned latents (``causal``).
 """

@@ -1,15 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over dense arrays.
+"""Minimal reverse-mode automatic differentiation over dense arrays, plus
+Adam and a gradient check on flat parameter buffers.
 
 Tensors holding flat float64 buffers, a dozen differentiable operations,
-topological-sort backpropagation, Glorot-initialized MLPs, bias-corrected
-Adam and a finite-difference gradient check.  No general broadcasting, no
-views, no higher-order gradients — every operation states exactly what
-shapes it accepts.
-
-The multiview identifier keeps its parameters as this module's tensors and
-trains them with :func:`adam_step`, but computes its gradients in closed
-form without the tape (see :mod:`dynident.multiview`); tests build the same
-loss from these operations as the reference for those gradients.
+topological-sort backpropagation and Glorot-initialized MLPs.  No general
+broadcasting, no views, no higher-order gradients — every operation states
+exactly what shapes it accepts.  The tests build the multiview loss from
+these operations as the reference for its closed-form gradients (see
+:mod:`dynident.multiview`), which train the model's flat parameter buffer
+with :func:`adam_step`.
 
 Determinism: all computation is plain single-threaded numpy with a fixed
 reduction order, so repeated runs from the same seed are bit-identical.
@@ -17,7 +15,7 @@ reduction order, so repeated runs from the same seed are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -380,74 +378,58 @@ def mlp_parameters(params: MlpParams) -> list[Tensor]:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one buffer pair per parameter tensor."""
+    """Bias-corrected Adam moments of one flat parameter buffer."""
 
     lr: float
     beta1: float
     beta2: float
     eps: float
     t: int
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
 
 
 def adam_init(
-    params: Sequence[Tensor],
+    params: np.ndarray,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        t=0,
-        m=[np.zeros(p.data.size) for p in params],
-        v=[np.zeros(p.data.size) for p in params],
-    )
+    """Zero moments shaped like ``params``."""
+    return AdamState(lr, beta1, beta2, eps, 0, np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(
-    state: AdamState,
-    params: Sequence[Tensor],
-    grads: Optional[Sequence[np.ndarray]] = None,
-) -> tuple[Sequence[Tensor], AdamState]:
-    """One update in place; returns (params, state) for convenience.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One update of ``params`` in place, for the gradient ``grad``.
 
     Every element gets m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p -= lr (m / bias1) / (sqrt(v / bias2) + eps), with in-place
-    operations in that order, so one tensor holding many parameters is
-    updated exactly as those parameters would be one tensor each.
+    operations in that order, so one buffer holding many parameters is
+    updated exactly as those parameters would be one buffer each.
     """
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(state.m):
-        raise InvalidArgumentError("adam_step: parameter/moment count mismatch")
+    grad = np.asarray(grad)
+    if not grad.shape == params.shape == state.m.shape:
+        raise InvalidArgumentError("adam_step: gradient, parameters and moments differ in shape")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            raise InvalidArgumentError("adam_step: missing gradient (call backward first)")
-        g = np.asarray(g, dtype=float)
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v *= b2
-        v += step
-        denom = np.divide(v, bias2)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, bias1, out=step)
-        step *= state.lr
-        step /= denom
-        p.data -= step
-    return params, state
+    m, v = state.m, state.v
+    step = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += step
+    np.multiply(grad, 1.0 - b2, out=step)
+    step *= grad
+    v *= b2
+    v += step
+    denom = np.divide(v, bias2)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, bias1, out=step)
+    step *= state.lr
+    step /= denom
+    params -= step
 
 
 # ---------------------------------------------------------------------------
@@ -456,54 +438,39 @@ def adam_step(
 
 
 def gradient_check(
-    loss_fn: Callable[[], Tensor],
-    params: Sequence[Tensor],
+    loss_fn: Callable[[], float],
+    params: np.ndarray,
+    grad: np.ndarray,
     h: float = 1e-5,
     max_coords: int = 200,
     seed: int = 0,
-    grads: Optional[Sequence[np.ndarray]] = None,
 ) -> float:
-    """Max relative error between analytic gradients and central finite differences.
+    """Max relative error between an analytic gradient and central finite differences.
 
-    ``loss_fn`` must rebuild the graph (deterministically) on every call and
-    return a scalar tensor, whose backpropagation gives the analytic
-    gradients.  Code that differentiates without the graph passes its
-    gradients as ``grads`` (one array per parameter, in the order of
-    ``params``); ``loss_fn`` may then return a plain float.  At most
-    ``max_coords`` coordinates are probed, sampled uniformly without
-    replacement across all parameters.  The relative error of a coordinate
-    is |ad - fd| / max(|ad|, |fd|, 1e-6).
+    ``loss_fn()`` returns the loss at the current values of the flat buffer
+    ``params``, which is perturbed in place one coordinate at a time and
+    restored; ``grad`` is the analytic gradient at the unperturbed values.
+    At most ``max_coords`` coordinates are probed, sampled uniformly without
+    replacement.  The relative error of a coordinate is
+    |ad - fd| / max(|ad|, |fd|, 1e-6).
     """
-    if grads is None:
-        zero_grad(params)
-        backward(loss_fn())
-        analytic = [p.grad.copy() for p in params]
-    else:
-        if len(grads) != len(params):
-            raise InvalidArgumentError("gradient_check: need one gradient per parameter")
-        analytic = [np.asarray(g, dtype=float).reshape(-1) for g in grads]
-
-    def value() -> float:
-        loss = loss_fn()
-        return loss.item() if isinstance(loss, Tensor) else float(loss)
-
-    coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
-    rng = substream(seed, "gradient-check")
-    if len(coords) > max_coords:
-        idx = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[k] for k in idx]
+    grad = np.asarray(grad)
+    if params.ndim != 1 or grad.shape != params.shape:
+        raise InvalidArgumentError("gradient_check: need a flat buffer and a gradient of its shape")
+    coords = range(params.size)
+    if params.size > max_coords:
+        rng = substream(seed, "gradient-check")
+        coords = rng.choice(params.size, size=max_coords, replace=False)
 
     worst = 0.0
-    for i, j in coords:
-        p = params[i]
-        keep = p.data[j]
-        p.data[j] = keep + h
-        up = value()
-        p.data[j] = keep - h
-        down = value()
-        p.data[j] = keep
+    for j in coords:
+        keep = params[j]
+        params[j] = keep + h
+        up = float(loss_fn())
+        params[j] = keep - h
+        down = float(loss_fn())
+        params[j] = keep
         fd = (up - down) / (2.0 * h)
-        ad = analytic[i][j]
-        err = abs(ad - fd) / max(abs(ad), abs(fd), 1e-6)
-        worst = max(worst, err)
+        ad = grad[j]
+        worst = max(worst, abs(ad - fd) / max(abs(ad), abs(fd), 1e-6))
     return worst

@@ -116,7 +116,10 @@ def _str_tuple(raw):
 
 def _int_tuple(raw):
     if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
+        for v in raw:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"expected integers in the list, got {v!r}")
+        return tuple(raw)
     if not isinstance(raw, str):
         raise TypeError(f"expected a comma-separated string or a list, got {raw!r}")
     return tuple(int(tok) for tok in raw.split(","))
@@ -124,7 +127,12 @@ def _int_tuple(raw):
 
 def _prototype_rows(raw):
     if isinstance(raw, (list, tuple)):
-        rows = [list(map(float, row)) for row in raw]
+        for row in raw:
+            if not isinstance(row, list) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in row
+            ):
+                raise TypeError(f"expected rows of numbers, got {row!r}")
+        rows = [[float(v) for v in row] for row in raw]
     elif isinstance(raw, str):
         rows = [[float(v) for v in tok.split(",")] for tok in raw.split(";") if tok.strip()]
     else:

@@ -22,16 +22,20 @@ at model-building time.  Two decoder styles are available: ``direct``
 latent-conditioned vector field rolled out with RK4, one step per grid
 interval).
 
-Training uses no autodiff tape.  The loss and its gradient are written out
-in closed form, with the views' networks stacked so that one batched matmul
-serves every view.  For the field decoder, the gradient comes from a
-hand-written reverse pass through the four RK4 stages of each step.
+Every encoder and decoder parameter lives in one flat buffer, the model's
+``params``; per-layer views of it stack the views' networks, so that one
+batched matmul serves every view.  Training uses no autodiff tape.  The
+loss and its gradient are written out in closed form, the gradient into a
+buffer of the same layout, and Adam updates ``params`` in place.  For the
+field decoder, the gradient comes from a hand-written reverse pass through
+the four RK4 stages of each step.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -42,7 +46,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .atomic import atomic_open
-from .autodiff import MlpParams, Tensor
 from .errors import (
     ConfigError,
     FileFormatError,
@@ -499,14 +502,44 @@ class Preprocessing:
 
 
 @dataclass
+class _Stack:
+    """One MLP per view, each layer's parameters stacked along a leading view axis.
+
+    ``weights[i]`` is (V, fan_in, fan_out) and ``biases[i]`` is (V, fan_out),
+    so a (V, B, fan_in) batch goes through layer i of every view in one
+    batched matmul.
+    """
+
+    weights: list
+    biases: list
+    activation: str
+
+    def select(self, view: int) -> "_Stack":
+        """The network of one view, as a stack of one."""
+        return _Stack(
+            [w[view : view + 1] for w in self.weights],
+            [b[view : view + 1] for b in self.biases],
+            self.activation,
+        )
+
+
+@dataclass
 class IdentifierModel:
+    """Encoders and decoders of every view, with their preprocessing.
+
+    ``params`` holds every encoder and decoder parameter in one flat float64
+    buffer, layer by layer, encoders first: a layer's weights for all views
+    as one (V, fan_in, fan_out) block, then its biases as (V, fan_out).
+    ``encoders`` and ``decoders`` are :class:`_Stack` views into it, so
+    writing through them edits the model.
+    """
+
     config: IdentifierConfig
     system_id: str
     shared_param_indices: tuple
     grid: TimeGrid
     prep: Preprocessing
-    encoders: list  # MlpParams per view
-    decoders: list  # MlpParams per view
+    params: np.ndarray
 
     @property
     def layout(self) -> PartitionLayout:
@@ -514,7 +547,32 @@ class IdentifierModel:
 
     @property
     def n_views(self) -> int:
-        return len(self.encoders)
+        return self.prep.tgt_mean.shape[0]
+
+    def stacks(self, buf: np.ndarray) -> tuple[_Stack, _Stack]:
+        """The encoder and decoder stacks viewing ``buf``, a buffer laid out
+        as ``params`` (the parameters themselves, or a gradient)."""
+        shapes = _block_shapes(self.config, self.prep, self.grid)
+        sizes = [math.prod(shape) for shape in shapes]
+        if buf.shape != (sum(sizes),) or buf.dtype != np.float64:
+            raise InvalidArgumentError(
+                f"parameter buffer of shape {buf.shape} and dtype {buf.dtype}: the "
+                f"model's config, grid and views call for ({sum(sizes)},) float64"
+            )
+        pieces = np.split(buf, np.cumsum(sizes)[:-1])
+        blocks = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
+        n_enc = 2 * self.config.depth
+        enc, dec = blocks[:n_enc], blocks[n_enc:]
+        act = self.config.activation
+        return _Stack(enc[0::2], enc[1::2], act), _Stack(dec[0::2], dec[1::2], act)
+
+    @property
+    def encoders(self) -> _Stack:
+        return self.stacks(self.params)[0]
+
+    @property
+    def decoders(self) -> _Stack:
+        return self.stacks(self.params)[1]
 
 
 def _encoder_features(states: np.ndarray, keep_fraction: float) -> np.ndarray:
@@ -540,162 +598,70 @@ def _stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _decoder_dims(config: IdentifierConfig, t_pts: int, d: int) -> tuple[int, int]:
-    """The decoder's input and output widths for ``t_pts`` grid points of
-    ``d``-dimensional states."""
+def _net_dims(config: IdentifierConfig, n_feat: int, t_pts: int, d: int) -> tuple[list, list]:
+    """The layer widths, input first, of the encoder and of the decoder for
+    ``n_feat`` encoder features and ``t_pts`` grid points of ``d``-dimensional
+    states."""
+    hidden = [config.hidden_dim] * (config.depth - 1)
     if config.decoder == "direct":
-        return config.layout.latent_dim + config.n_init * d, t_pts * d
-    return config.layout.latent_dim + d, d  # latent-conditioned vector field
+        dec_in, dec_out = config.layout.latent_dim + config.n_init * d, t_pts * d
+    else:  # latent-conditioned vector field
+        dec_in, dec_out = config.layout.latent_dim + d, d
+    return [n_feat] + hidden + [config.layout.latent_dim], [dec_in] + hidden + [dec_out]
+
+
+def _block_shapes(config: IdentifierConfig, prep: Preprocessing, grid: TimeGrid) -> list:
+    """The stacked shape of every block of a model's parameter buffer, in order."""
+    n_views, d = prep.tgt_mean.shape
+    return [
+        shape
+        for dims in _net_dims(config, prep.enc_mean.shape[1], grid.n_points, d)
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        for shape in ((n_views, fan_in, fan_out), (n_views, fan_out))
+    ]
 
 
 def build_identifier(
     dataset: MultiviewDataset, config: IdentifierConfig, seed: int
 ) -> IdentifierModel:
-    """Initialize encoders/decoders and freeze standardization statistics."""
-    layout = config.layout
-    n_views = dataset.n_views
+    """Freeze standardization statistics and draw Glorot-uniform weights
+    (+/- sqrt(6 / (fan_in + fan_out))) with zero biases."""
     t_pts, d = dataset.grid.n_points, dataset.states.shape[3]
     if config.n_init > t_pts:
         raise ConfigError(f"n_init ({config.n_init}) exceeds grid points ({t_pts})")
 
-    enc_m, enc_s, aux_m, aux_s, tgt_m, tgt_s = [], [], [], [], [], []
-    for v in range(n_views):
-        em, es = _stats(_encoder_features(dataset.states[v], config.keep_fraction))
-        am, as_ = _stats(_aux_features(dataset.states[v], config.n_init))
-        flat = dataset.states[v].reshape(-1, d)
-        tm = flat.mean(axis=0)
-        ts = np.maximum(flat.std(axis=0), _STD_FLOOR)
-        enc_m.append(em)
-        enc_s.append(es)
-        aux_m.append(am)
-        aux_s.append(as_)
-        tgt_m.append(tm)
-        tgt_s.append(ts)
-    prep = Preprocessing(
-        enc_mean=np.stack(enc_m),
-        enc_std=np.stack(enc_s),
-        aux_mean=np.stack(aux_m),
-        aux_std=np.stack(aux_s),
-        tgt_mean=np.stack(tgt_m),
-        tgt_std=np.stack(tgt_s),
-    )
+    per_view = [  # the fields of Preprocessing, in order, for each view
+        (
+            *_stats(_encoder_features(states, config.keep_fraction)),
+            *_stats(_aux_features(states, config.n_init)),
+            *_stats(states.reshape(-1, d)),  # per state channel
+        )
+        for states in dataset.states
+    ]
+    prep = Preprocessing(*(np.stack(column) for column in zip(*per_view)))
 
-    feat_dim = prep.enc_mean.shape[1]
-    encoders, decoders = [], []
-    for v in range(n_views):
-        encoders.append(
-            ad.mlp_init(
-                feat_dim,
-                layout.latent_dim,
-                config.hidden_dim,
-                config.depth,
-                config.activation,
-                rng=substream(seed, "mv-init", "encoder", v),
-            )
-        )
-        dec_in, dec_out = _decoder_dims(config, t_pts, d)
-        decoders.append(
-            ad.mlp_init(
-                dec_in,
-                dec_out,
-                config.hidden_dim,
-                config.depth,
-                config.activation,
-                rng=substream(seed, "mv-init", "decoder", v),
-            )
-        )
-    return IdentifierModel(
+    size = sum(math.prod(shape) for shape in _block_shapes(config, prep, dataset.grid))
+    model = IdentifierModel(
         config=config,
         system_id=dataset.system_id,
         shared_param_indices=dataset.shared_param_indices,
         grid=dataset.grid,
         prep=prep,
-        encoders=encoders,
-        decoders=decoders,
+        params=np.zeros(size),
     )
-
-
-def model_parameters(model: IdentifierModel) -> list:
-    params = []
-    for net in itertools.chain(model.encoders, model.decoders):
-        params.extend(ad.mlp_parameters(net))
-    return params
+    for role, net in (("encoder", model.encoders), ("decoder", model.decoders)):
+        for v in range(dataset.n_views):
+            rng = substream(seed, "mv-init", role, v)
+            for w in net.weights:
+                _, fan_in, fan_out = w.shape
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                w[v] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return model
 
 
 # ---------------------------------------------------------------------------
-# Stacked networks: every view's parameters in one buffer.
+# Batched passes: every view's network at once.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Stack:
-    """One MLP per view, each layer's parameters stacked along a leading view axis.
-
-    ``weights[i]`` is (V, fan_in, fan_out) and ``biases[i]`` is (V, fan_out),
-    so a (V, B, fan_in) batch goes through layer i of every view in one
-    batched matmul.
-    """
-
-    weights: list
-    biases: list
-    activation: str
-
-    @classmethod
-    def of(cls, params: MlpParams) -> "_Stack":
-        """One network as a stack of a single view."""
-        return cls(
-            [w.view()[None] for w in params.weights],
-            [b.view()[None] for b in params.biases],
-            params.activation,
-        )
-
-
-class _FlatParams:
-    """Every encoder and decoder parameter of a model in one flat float64 buffer.
-
-    The buffer runs layer by layer, encoders first: a layer's weights for all
-    views as one (V, fan_in, fan_out) block, then its biases as (V, fan_out).
-    :meth:`stacks` views any buffer of this layout (parameters or gradient) as
-    an encoder and a decoder :class:`_Stack`.  ``tensor`` holds a copy of the
-    model's values, so Adam updates all of them with a few whole-buffer
-    operations; :meth:`bind` turns the model's tensors into views of it.
-    """
-
-    def __init__(self, model: IdentifierModel):
-        self._activation = model.config.activation
-        self._n_enc = 2 * model.encoders[0].depth
-        self._blocks = []  # (offset, stacked shape)
-        self._slices = {}  # id(tensor) -> its slice of the buffer
-        offset = 0
-        for nets in (model.encoders, model.decoders):
-            for group in zip(*(ad.mlp_parameters(net) for net in nets)):
-                if any(t.shape != group[0].shape for t in group):
-                    raise InvalidArgumentError("the views' networks differ in shape")
-                self._blocks.append((offset, (len(group),) + group[0].shape))
-                for t in group:
-                    self._slices[id(t)] = slice(offset, offset + t.data.size)
-                    offset += t.data.size
-        self._params = model_parameters(model)
-        values = np.empty(offset)
-        for t in self._params:
-            values[self._slices[id(t)]] = t.data
-        self.tensor = Tensor(values, requires_grad=True)
-
-    def stacks(self, buf: np.ndarray) -> tuple[_Stack, _Stack]:
-        arrays = [buf[o : o + int(np.prod(shape))].reshape(shape) for o, shape in self._blocks]
-        enc, dec = arrays[: self._n_enc], arrays[self._n_enc :]
-        return (
-            _Stack(enc[0::2], enc[1::2], self._activation),
-            _Stack(dec[0::2], dec[1::2], self._activation),
-        )
-
-    def bind(self) -> None:
-        for t in self._params:
-            t.data = self.tensor.data[self._slices[id(t)]]
-
-    def split(self, buf: np.ndarray) -> list:
-        """Per-tensor pieces of ``buf``, in :func:`model_parameters` order."""
-        return [buf[self._slices[id(t)]] for t in self._params]
 
 
 def _activate(a: np.ndarray, activation: str) -> None:
@@ -916,7 +882,7 @@ def encode(model: IdentifierModel, states: np.ndarray, view: int) -> np.ndarray:
     if states.ndim != 3 or states.shape[1] != model.grid.n_points:
         raise InvalidArgumentError("encode: states must be (n, T, d) on the model grid")
     enc_in, _, _ = _standardized_inputs(model, states, view)
-    return _mlp_forward(_Stack.of(model.encoders[view]), enc_in[None])[0]
+    return _mlp_forward(model.encoders.select(view), enc_in[None])[0]
 
 
 def shared_latents(model: IdentifierModel, dataset: MultiviewDataset) -> np.ndarray:
@@ -946,7 +912,7 @@ def decode_forecast(
     prep, cfg = model.prep, model.config
     t_pts = model.grid.n_points
     d = prep.tgt_mean.shape[1]
-    dec = _Stack.of(model.decoders[view])
+    dec = model.decoders.select(view)
     if cfg.decoder == "direct":
         init_states = np.asarray(init_states, dtype=float).reshape(z.shape[0], -1)
         aux = (init_states - prep.aux_mean[view]) / prep.aux_std[view]
@@ -1033,23 +999,19 @@ def _loss_and_grads(
     enc_in: Sequence[np.ndarray],
     aux_in: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
-) -> tuple[dict, list]:
-    """Loss components and d total / d parameter for one standardized batch.
-
-    The inputs are per-view lists; the gradient comes as one flat array per
-    tensor of :func:`model_parameters`, in that order.
-    """
-    flat = _FlatParams(model)
-    grad = np.empty_like(flat.tensor.data)
+) -> tuple[dict, np.ndarray]:
+    """Loss components and d total / d ``model.params`` for one standardized
+    batch, given as per-view lists."""
+    grad = np.empty_like(model.params)
     components = _loss(
         model,
-        flat.stacks(flat.tensor.data),
+        model.stacks(model.params),
         np.stack(enc_in),
         np.stack(aux_in),
         np.stack(targets),
-        flat.stacks(grad),
+        model.stacks(grad),
     )
-    return components, flat.split(grad)
+    return components, grad
 
 
 def multiview_loss(
@@ -1061,8 +1023,7 @@ def multiview_loss(
     if indices is None:
         indices = np.arange(dataset.n_pairs)
     enc_in, aux_in, targets = _stacked_inputs(model, dataset.states[:, indices])
-    flat = _FlatParams(model)
-    return _loss(model, flat.stacks(flat.tensor.data), enc_in, aux_in, targets)
+    return _loss(model, model.stacks(model.params), enc_in, aux_in, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,12 +1047,10 @@ def train_identifier(
     n = dataset.n_pairs
     enc_all, aux_all, tgt_all = _stacked_inputs(model, dataset.states)
 
-    flat = _FlatParams(model)
-    flat.bind()
-    nets = flat.stacks(flat.tensor.data)
-    grad = np.empty_like(flat.tensor.data)
-    grads = flat.stacks(grad)
-    opt = ad.adam_init([flat.tensor], lr=config.lr)
+    nets = model.stacks(model.params)
+    grad = np.empty_like(model.params)
+    grads = model.stacks(grad)
+    opt = ad.adam_init(model.params, lr=config.lr)
     history: list[dict] = []
     batch = min(config.batch_size, n)
 
@@ -1114,7 +1073,7 @@ def train_identifier(
                         step=n_steps,
                         components=comps,
                     )
-                ad.adam_step(opt, [flat.tensor], [grad])
+                ad.adam_step(opt, model.params, grad)
             for k in sums:
                 sums[k] += comps[k]
             n_steps += 1
@@ -1178,11 +1137,11 @@ def save_identifier(path, model: IdentifierModel) -> None:
         "grid": _grid_record(model.grid),
     }
     arrays = {f"prep.{name}": getattr(model.prep, name) for name in _PREP_FIELDS}
-    for role in ("encoders", "decoders"):
-        for v, net in enumerate(getattr(model, role)):
+    for role, net in (("encoders", model.encoders), ("decoders", model.decoders)):
+        for v in range(model.n_views):
             for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{role}.{v}.weights.{k}"] = w.view()
-                arrays[f"{role}.{v}.biases.{k}"] = b.view()
+                arrays[f"{role}.{v}.weights.{k}"] = w[v]
+                arrays[f"{role}.{v}.biases.{k}"] = b[v]
     _write_archive(path, meta, arrays)
 
 
@@ -1194,57 +1153,47 @@ def _numbered(arrays: dict, prefix: str) -> list:
     return found
 
 
-def _mlps_from_arrays(arrays: dict, role: str, activation: str) -> list:
-    """The networks stored under ``<role>.<view>.`` for views 0, 1, ..."""
-    nets = []
-    while f"{role}.{len(nets)}.weights.0" in arrays:
-        prefix = f"{role}.{len(nets)}"
-        weights = _numbered(arrays, f"{prefix}.weights")
-        biases = _numbered(arrays, f"{prefix}.biases")
-        nets.append(MlpParams(
-            weights=[Tensor(w, requires_grad=True) for w in weights],
-            biases=[Tensor(b, requires_grad=True) for b in biases],
-            activation=activation,
-        ))
-    return nets
-
-
-def _check_model_shapes(path, model: IdentifierModel) -> None:
-    """Raise :class:`FileFormatError` unless every array of ``model`` has the
-    shape that its config, its grid and its state dimension call for."""
-    cfg, prep = model.config, model.prep
+def _check_model_shapes(
+    path, config: IdentifierConfig, grid: TimeGrid, prep: Preprocessing, arrays: dict
+) -> None:
+    """Raise :class:`FileFormatError` unless ``prep`` and every per-view
+    network member of ``arrays`` have the shape that the config, the grid and
+    the state dimension call for."""
 
     def malformed(what: str) -> FileFormatError:
         return FileFormatError(f"{path}: malformed model file ({what})")
 
-    if prep.tgt_mean.ndim != 2:
-        raise malformed("prep.tgt_mean is not 2-d")
+    if prep.tgt_mean.ndim != 2 or len(prep.tgt_mean) == 0:
+        raise malformed("prep.tgt_mean is not 2-d with a row per view")
     n_views, d = prep.tgt_mean.shape
-    t_pts = model.grid.n_points
-    n_feat = int(np.ceil(cfg.keep_fraction * t_pts)) * d
-    arrays = [  # (name, actual shape, expected shape)
+    t_pts = grid.n_points
+    n_feat = int(np.ceil(config.keep_fraction * t_pts)) * d
+    checks = [  # (name, actual shape, expected shape)
         ("prep.enc_mean", prep.enc_mean.shape, (n_views, n_feat)),
         ("prep.enc_std", prep.enc_std.shape, (n_views, n_feat)),
-        ("prep.aux_mean", prep.aux_mean.shape, (n_views, cfg.n_init * d)),
-        ("prep.aux_std", prep.aux_std.shape, (n_views, cfg.n_init * d)),
+        ("prep.aux_mean", prep.aux_mean.shape, (n_views, config.n_init * d)),
+        ("prep.aux_std", prep.aux_std.shape, (n_views, config.n_init * d)),
         ("prep.tgt_std", prep.tgt_std.shape, (n_views, d)),
     ]
-    for role, nets, (fan_in, fan_out) in (
-        ("encoders", model.encoders, (n_feat, cfg.layout.latent_dim)),
-        ("decoders", model.decoders, _decoder_dims(cfg, t_pts, d)),
-    ):
-        if len(nets) != n_views:
-            raise malformed(f"{len(nets)} {role} for {n_views} views")
-        dims = [fan_in] + [cfg.hidden_dim] * (cfg.depth - 1) + [fan_out]
-        for v, net in enumerate(nets):
-            if len(net.weights) != cfg.depth:
+    for role, dims in zip(("encoders", "decoders"), _net_dims(config, n_feat, t_pts, d)):
+        found = 0
+        while f"{role}.{found}.weights.0" in arrays:
+            found += 1
+        if found != n_views:
+            raise malformed(f"{found} {role} for {n_views} views")
+        for v in range(n_views):
+            weights = _numbered(arrays, f"{role}.{v}.weights")
+            biases = _numbered(arrays, f"{role}.{v}.biases")
+            if len(weights) != len(biases):
+                raise malformed(f"{role}[{v}]: weights and biases must pair up")
+            if len(weights) != config.depth:
                 raise malformed(
-                    f"{role}[{v}] has {len(net.weights)} layers, config depth {cfg.depth}"
+                    f"{role}[{v}] has {len(weights)} layers, config depth {config.depth}"
                 )
-            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays.append((f"{role}[{v}].weights[{k}]", w.shape, (dims[k], dims[k + 1])))
-                arrays.append((f"{role}[{v}].biases[{k}]", b.shape, (dims[k + 1],)))
-    for name, actual, expected in arrays:
+            for k, (w, b) in enumerate(zip(weights, biases)):
+                checks.append((f"{role}[{v}].weights[{k}]", w.shape, (dims[k], dims[k + 1])))
+                checks.append((f"{role}[{v}].biases[{k}]", b.shape, (dims[k + 1],)))
+    for name, actual, expected in checks:
         if tuple(actual) != expected:
             raise malformed(f"{name} has shape {tuple(actual)}, expected {expected}")
 
@@ -1257,19 +1206,25 @@ def load_identifier(path) -> IdentifierModel:
         cfg_raw = dict(meta["config"])
         cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
         config = IdentifierConfig(**cfg_raw)
-        model = IdentifierModel(
-            config=config,
-            system_id=meta["system_id"],
-            shared_param_indices=tuple(meta["shared_param_indices"]),
-            grid=_grid_from_record(meta["grid"]),
-            prep=Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS}),
-            encoders=_mlps_from_arrays(arrays, "encoders", config.activation),
-            decoders=_mlps_from_arrays(arrays, "decoders", config.activation),
-        )
+        grid = _grid_from_record(meta["grid"])
+        prep = Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS})
     except (LookupError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed model file ({exc})") from exc
-    _check_model_shapes(path, model)
-    return model
+    _check_model_shapes(path, config, grid, prep, arrays)
+    params = np.concatenate([
+        np.stack([arrays[f"{role}.{v}.{kind}.{k}"] for v in range(prep.tgt_mean.shape[0])]).ravel()
+        for role in ("encoders", "decoders")
+        for k in range(config.depth)
+        for kind in ("weights", "biases")
+    ])
+    return IdentifierModel(
+        config=config,
+        system_id=meta["system_id"],
+        shared_param_indices=tuple(meta["shared_param_indices"]),
+        grid=grid,
+        prep=prep,
+        params=params,
+    )
 
 
 __all__ = [
@@ -1282,7 +1237,6 @@ __all__ = [
     "Preprocessing",
     "IdentifierModel",
     "build_identifier",
-    "model_parameters",
     "encode",
     "shared_latents",
     "private_latents",

@@ -34,7 +34,6 @@ from dynident.multiview import (
     build_identifier,
     encode,
     generate_multiview_dataset,
-    model_parameters,
     train_identifier,
 )
 from dynident.solver import (
@@ -291,14 +290,12 @@ def test_multiview_loss_gradients_at_five_inits():
             enc_in.append(e)
             aux_in.append(a)
             tgt.append(t)
-        _, grads = _loss_and_grads(model, enc_in, aux_in, tgt)
+        _, grad = _loss_and_grads(model, enc_in, aux_in, tgt)
 
         def total():
             return _loss_and_grads(model, enc_in, aux_in, tgt)[0]["total"]
 
-        err = gradient_check(
-            total, model_parameters(model), max_coords=120, seed=init_seed, grads=grads
-        )
+        err = gradient_check(total, model.params, grad, max_coords=120, seed=init_seed)
         worst = max(worst, err)
     ok = worst <= 1e-4
     detail = f"5 initializations: worst relative error {worst:.2e} (bar 1e-4)"

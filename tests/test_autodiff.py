@@ -88,9 +88,27 @@ def test_shape_validation():
 # ---------------------------------------------------------------------------
 
 
+def _tape_gradient_check(build, leaves, **kw):
+    """gradient_check of the tape: ``build()`` -> scalar Tensor over ``leaves``.
+
+    The leaves' buffers become views of one flat array, which the check
+    perturbs; their backpropagated gradients, concatenated in the same
+    order, are the analytic gradient.
+    """
+    flat = np.concatenate([t.data for t in leaves])
+    offset = 0
+    for t in leaves:
+        t.data = flat[offset : offset + t.data.size]
+        offset += t.data.size
+    zero_grad(leaves)
+    backward(build())
+    grad = np.concatenate([t.grad for t in leaves])
+    return gradient_check(lambda: build().item(), flat, grad, **kw)
+
+
 def _fd_check(build, params, tol=1e-7):
     """build() -> scalar Tensor; compares backprop to finite differences."""
-    err = gradient_check(build, params, h=1e-6, max_coords=200, seed=5)
+    err = _tape_gradient_check(build, params, h=1e-6, max_coords=200, seed=5)
     assert err < tol, f"gradient mismatch: {err}"
 
 
@@ -253,7 +271,7 @@ def test_mlp_parameters_order_and_grads_flow():
     def build():
         return mean_all(square(sub(mlp_forward(params, x), target)))
 
-    err = gradient_check(build, tensors, h=1e-5, max_coords=200, seed=3)
+    err = _tape_gradient_check(build, tensors, h=1e-5, max_coords=200, seed=3)
     assert err < 1e-4
 
 
@@ -282,12 +300,11 @@ def test_mlp_validation():
 def test_adam_first_step_hand_oracle():
     # Scalar parameter, gradient 1, lr 0.1:
     #   m = 0.1, v = 0.001, m_hat = 1, v_hat = 1, step = -0.1 / (1 + 1e-8).
-    w = Tensor([5.0], requires_grad=True)
-    state = adam_init([w], lr=0.1)
-    w.grad = np.array([1.0])
-    adam_step(state, [w])
+    w = np.array([5.0])
+    state = adam_init(w, lr=0.1)
+    adam_step(state, w, np.array([1.0]))
     expected = 5.0 - 0.1 / (1.0 + 1e-8)
-    assert w.data[0] == pytest.approx(expected, abs=1e-15)
+    assert w[0] == pytest.approx(expected, abs=1e-15)
     assert state.t == 1
 
 
@@ -297,11 +314,11 @@ def test_adam_matches_reference_implementation():
     target = rng.standard_normal(6)
 
     w = Tensor(w0, requires_grad=True)
-    state = adam_init([w], lr=0.05)
+    state = adam_init(w.data, lr=0.05)
     for _ in range(25):
         zero_grad([w])
         backward(sum_all(square(sub(w, Tensor(target)))))
-        adam_step(state, [w])
+        adam_step(state, w.data, w.grad)
 
     # Independent textbook Adam on the same quadratic.
     ref, m, v = w0.copy(), np.zeros(6), np.zeros(6)
@@ -322,45 +339,54 @@ def test_adam_one_flat_buffer_is_bit_identical_to_per_tensor():
     grads = [[rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3) for n in sizes]
              for _ in range(30)]
 
-    flat = Tensor(np.concatenate(values), requires_grad=True)
-    state = adam_init([flat], lr=3e-3)
+    flat = np.concatenate(values)
+    state = adam_init(flat, lr=3e-3)
     ref = [v.copy() for v in values]
     ms = [np.zeros(n) for n in sizes]
     vs = [np.zeros(n) for n in sizes]
     for t, gs in enumerate(grads, start=1):
-        adam_step(state, [flat], [np.concatenate(gs)])
+        adam_step(state, flat, np.concatenate(gs))
         for p, g, m, v in zip(ref, gs, ms, vs):
             m *= 0.9
             m += (1.0 - 0.9) * g
             v *= 0.999
             v += (1.0 - 0.999) * g * g
             p -= 3e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-    assert flat.data.tobytes() == np.concatenate(ref).tobytes()
+    assert flat.tobytes() == np.concatenate(ref).tobytes()
 
 
 def test_adam_converges_on_quadratic():
     w = Tensor(np.full(4, 10.0), requires_grad=True)
-    state = adam_init([w], lr=0.5)
+    state = adam_init(w.data, lr=0.5)
     for _ in range(400):
         zero_grad([w])
         backward(sum_all(square(w)))
-        adam_step(state, [w])
+        adam_step(state, w.data, w.grad)
     assert np.abs(w.data).max() < 1e-3
 
 
 def test_adam_requires_gradients():
-    w = Tensor([1.0], requires_grad=True)
-    state = adam_init([w])
-    w.grad = None
+    """A gradient that is missing, or shaped unlike the buffer, is refused
+    before anything moves."""
+    w = np.array([1.0, 2.0])
+    state = adam_init(w)
+    for grad in (None, np.ones(3), np.ones((2, 1))):
+        with pytest.raises(InvalidArgumentError):
+            adam_step(state, w, grad)
     with pytest.raises(InvalidArgumentError):
-        adam_step(state, [w])
+        adam_step(state, np.ones(3), np.ones(3))  # moments of another buffer
+    assert state.t == 0
+    np.testing.assert_array_equal(w, [1.0, 2.0])
 
 
 def test_adam_explicit_grads_override():
-    w = Tensor([0.0], requires_grad=True)
-    state = adam_init([w], lr=0.1)
-    params, state = adam_step(state, [w], grads=[np.array([-1.0])])
-    assert params[0].data[0] == pytest.approx(0.1 / (1.0 + 1e-8), abs=1e-15)
+    """The update lands in place in the buffer given, here a view into a
+    larger array, and nowhere else."""
+    buf = np.zeros(3)
+    state = adam_init(buf[1:2], lr=0.1)
+    assert adam_step(state, buf[1:2], np.array([-1.0])) is None
+    assert buf[1] == pytest.approx(0.1 / (1.0 + 1e-8), abs=1e-15)
+    assert buf[0] == buf[2] == 0.0
     assert isinstance(state, AdamState)
 
 
@@ -377,7 +403,7 @@ def test_gradient_check_passes_on_smooth_model():
     def build():
         return mean_all(square(mlp_forward(params, x)))
 
-    assert gradient_check(build, mlp_parameters(params)) < 1e-4
+    assert _tape_gradient_check(build, mlp_parameters(params)) < 1e-4
 
 
 def test_gradient_check_flags_wrong_gradient():
@@ -388,23 +414,25 @@ def test_gradient_check_flags_wrong_gradient():
     def build():
         return sum_all(square(Tensor(w.data * 2.0, requires_grad=True)))
 
-    assert gradient_check(build, [w]) > 1e-2
+    assert _tape_gradient_check(build, [w]) > 1e-2
 
 
 def test_gradient_check_with_explicit_gradients():
-    # Code that differentiates without the graph hands its gradients over.
+    # Code that differentiates without the graph hands its gradient over.
     rng = substream(53, "gc-explicit")
     a = rng.standard_normal((5, 3))
-    w = Tensor(rng.standard_normal(3), requires_grad=True)
+    w = rng.standard_normal(3)
 
     def loss():
-        return float(np.sum((a @ w.data) ** 2))
+        return float(np.sum((a @ w) ** 2))
 
-    right = 2.0 * a.T @ (a @ w.data)
-    assert gradient_check(loss, [w], grads=[right]) < 1e-6
-    assert gradient_check(loss, [w], grads=[0.5 * right]) > 1e-2
+    right = 2.0 * a.T @ (a @ w)
+    assert gradient_check(loss, w, right) < 1e-6
+    assert gradient_check(loss, w, 0.5 * right) > 1e-2
     with pytest.raises(InvalidArgumentError):
-        gradient_check(loss, [w], grads=[])
+        gradient_check(loss, w, right[:2])
+    with pytest.raises(InvalidArgumentError):
+        gradient_check(loss, a, 2.0 * a)  # the buffer must be flat
 
 
 def test_gradient_check_respects_coordinate_cap():
@@ -417,6 +445,6 @@ def test_gradient_check_respects_coordinate_cap():
         calls["n"] += 1
         return mean_all(square(mlp_forward(params, x)))
 
-    gradient_check(build, mlp_parameters(params), max_coords=50, seed=9)
+    _tape_gradient_check(build, mlp_parameters(params), max_coords=50, seed=9)
     # One analytic evaluation plus two per probed coordinate.
     assert calls["n"] == 1 + 2 * 50

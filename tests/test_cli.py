@@ -16,6 +16,8 @@ from dynident.cli import (
     _REPORT_COLUMNS,
     _SCHEMAS,
     _build_parser,
+    _int_tuple,
+    _prototype_rows,
     _sci1,
     emit_report,
     main,
@@ -380,7 +382,17 @@ def _wrong_json_values(opt):
     else:
         accepted = {bool: {"bool"}, int: {"int"}, float: {"int", "float"},
                     str: {"str"}}[opt.type]
-    return st.one_of(*(v for name, v in anything.items() if name not in accepted))
+    wrong = st.one_of(*(v for name, v in anything.items() if name not in accepted))
+    # A list of the right kind with one element of the wrong type in it.
+    ints = st.lists(st.integers(), max_size=2)
+    if opt.parse is _int_tuple:
+        not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
+        return st.one_of(wrong, st.tuples(ints, not_int, ints).map(lambda t: t[0] + [t[1]] + t[2]))
+    if opt.parse is _prototype_rows:
+        row = st.lists(st.floats(-5.0, 5.0), max_size=2)
+        not_number = st.one_of(st.booleans(), st.text(max_size=3))
+        return st.one_of(wrong, st.tuples(row, not_number).map(lambda t: [t[0] + [t[1]]]))
+    return wrong
 
 
 _SCHEMA_KEYS = [(command, key) for command, schema in _SCHEMAS.items() for key in schema]
@@ -782,3 +794,43 @@ def test_readme_commands_parse():
     assert len(lines) >= 5
     for line in lines:
         parse_argv(shlex.split(line)[1:])
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block after the line ``heading`` of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.search(re.escape(heading) + r"\n\n```" + lang + r"\n(.*?)```", readme, re.S)
+    assert found, f"README has no {lang} block after {heading!r}"
+    return found.group(1)
+
+
+def test_readme_pipeline_runs_as_written_at_small_scale(tmp_path, monkeypatch):
+    """The README's typical pipeline, run as written except for smaller
+    --pairs, --epochs and --draws, exits 0 and writes every output with its
+    manifest."""
+    monkeypatch.chdir(tmp_path)
+    small = {"--pairs": "200", "--epochs": "2", "--draws": "3"}
+    lines = _readme_block("A typical pipeline:", "bash").strip().splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "dynident"
+        argv = [small.get(prev, tok) for prev, tok in zip([None] + argv, argv)]
+        assert main(argv[1:]) == 0, line
+        outputs = [tok for prev, tok in zip(argv, argv[1:]) if prev in ("--out", "--report")]
+        assert outputs, line
+        for out in outputs:
+            assert (tmp_path / out).is_file(), out
+            assert (tmp_path / f"{out}.manifest.json").is_file(), out
+
+
+def test_readme_quick_start_runs_and_prints_what_it_claims():
+    """The Quick start snippet runs, and the error it prints is within a
+    factor of ten of the value its comment gives."""
+    code = _readme_block("## Quick start", "python")
+    claim = float(re.search(r"# ~(\S+)", code).group(1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    error = float(out.getvalue())
+    assert claim / 10 <= error <= claim * 10, (error, claim)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynident import autodiff as ad
-from dynident.autodiff import Tensor, gradient_check, mlp_parameters
+from dynident.autodiff import MlpParams, Tensor, gradient_check
 from dynident.errors import (
     ConfigError,
     FileFormatError,
@@ -28,7 +29,6 @@ from dynident.multiview import (
     generate_multiview_dataset,
     load_dataset,
     load_identifier,
-    model_parameters,
     multiview_loss,
     save_dataset,
     save_identifier,
@@ -36,6 +36,7 @@ from dynident.multiview import (
     train_identifier,
 )
 from dynident.multiview import MultiviewDataset
+from dynident.seeding import substream
 from dynident.solver import TimeGrid, integrate_batch
 from dynident.systems import CATALOG, OdeSystem, get_system, sample_parameters
 
@@ -64,27 +65,51 @@ def _identical_view_dataset(n_pairs=10, grid_points=12, t_max=5.0, seed=6):
     )
 
 
+def _tape_networks(model):
+    """Tape copies of the model's networks: per-view encoder and decoder
+    :class:`MlpParams`, and every tape tensor in the order of ``model.params``."""
+    nets, leaves = [], []
+    for stack in (model.encoders, model.decoders):
+        layers = [
+            [Tensor(block[v], requires_grad=True) for v in range(model.n_views)]
+            for pair in zip(stack.weights, stack.biases)
+            for block in pair
+        ]
+        leaves += [t for layer in layers for t in layer]
+        nets.append([
+            MlpParams(
+                weights=[layer[v] for layer in layers[0::2]],
+                biases=[layer[v] for layer in layers[1::2]],
+                activation=stack.activation,
+            )
+            for v in range(model.n_views)
+        ])
+    return nets[0], nets[1], leaves
+
+
 def _tape_loss(model, enc_in, aux_in, targets):
-    """Reference: the total loss as an autodiff graph, plus float components.
+    """Reference: the total loss as an autodiff graph, plus float components
+    and the graph's parameter tensors (see :func:`_tape_networks`).
 
     Built from the public autodiff operations, one view at a time, with the
     field decoder's RK4 rollout unrolled inside the graph.
     """
     cfg = model.config
+    encoders, decoders, leaves = _tape_networks(model)
     batch = enc_in[0].shape[0]
     latents, suff_terms = [], []
     for v in range(model.n_views):
-        h = ad.mlp_forward(model.encoders[v], Tensor(enc_in[v]))
+        h = ad.mlp_forward(encoders[v], Tensor(enc_in[v]))
         latents.append(h)
         if cfg.decoder == "direct":
-            out = ad.mlp_forward(model.decoders[v], ad.concat_cols(h, Tensor(aux_in[v])))
+            out = ad.mlp_forward(decoders[v], ad.concat_cols(h, Tensor(aux_in[v])))
         else:
             d = model.prep.tgt_mean.shape[1]
             x = Tensor(targets[v][:, :d])
             out = x
 
             def f(state, v=v, h=h):
-                return ad.mlp_forward(model.decoders[v], ad.concat_cols(h, state))
+                return ad.mlp_forward(decoders[v], ad.concat_cols(h, state))
 
             for step in np.diff(model.grid.points):
                 k1 = f(x)
@@ -117,7 +142,7 @@ def _tape_loss(model, enc_in, aux_in, targets):
         "sufficiency": sufficiency.item(),
         "alignment": alignment.item(),
     }
-    return total, components
+    return total, components, leaves
 
 
 def _batch_inputs(model, dataset, rows):
@@ -130,13 +155,13 @@ def _batch_inputs(model, dataset, rows):
 
 def _closed_form_gradient_error(model, inputs, seed):
     """gradient_check of the closed-form gradient: 120 coordinates, bar 1e-4."""
-    _, grads = _loss_and_grads(model, *inputs)
+    _, grad = _loss_and_grads(model, *inputs)
     return gradient_check(
         lambda: _loss_and_grads(model, *inputs)[0]["total"],
-        model_parameters(model),
+        model.params,
+        grad,
         max_coords=120,
         seed=seed,
-        grads=grads,
     )
 
 
@@ -326,11 +351,22 @@ def test_build_identifier_shapes_and_standardization():
     ds = _small_dataset()
     cfg = _small_config(keep_fraction=0.5, n_init=6)
     model = build_identifier(ds, cfg, seed=0)
-    # ceil(0.5 * 30) = 15 DCT rows, 2 channels.
-    assert model.encoders[0].in_dim == 30
-    assert model.encoders[0].out_dim == 6
-    assert model.decoders[0].in_dim == 6 + 6 * 2
-    assert model.decoders[0].out_dim == 30 * 2
+    # ceil(0.5 * 30) = 15 DCT rows, 2 channels; (views, fan_in, fan_out).
+    assert model.encoders.weights[0].shape == (2, 30, 16)
+    assert model.encoders.weights[-1].shape == (2, 16, 6)
+    assert model.decoders.weights[0].shape == (2, 6 + 6 * 2, 16)
+    assert model.decoders.weights[-1].shape == (2, 16, 30 * 2)
+    assert model.params.size == sum(
+        a.size for net in (model.encoders, model.decoders) for a in net.weights + net.biases
+    )
+    # Each view's network is the tape's mlp_init drawn from that view's stream.
+    for role, net in (("encoder", model.encoders), ("decoder", model.decoders)):
+        for v in range(2):
+            in_dim, out_dim = net.weights[0].shape[1], net.weights[-1].shape[2]
+            ref = ad.mlp_init(in_dim, out_dim, 16, 2, rng=substream(0, "mv-init", role, v))
+            for k in range(2):
+                assert net.weights[k][v].tobytes() == ref.weights[k].view().tobytes()
+                assert net.biases[k][v].tobytes() == ref.biases[k].view().tobytes()
     enc, aux, tgt = _standardized_inputs(model, ds.states[0], 0)
     for block in (enc, aux):
         np.testing.assert_allclose(block.mean(axis=0), 0.0, atol=1e-12)
@@ -385,10 +421,10 @@ def test_alignment_vanishes_for_identical_views_and_encoders():
     ds = _identical_view_dataset(n_pairs=12, grid_points=20, t_max=6.0, seed=5)
     np.testing.assert_array_equal(ds.states[0], ds.states[1])
     model = build_identifier(ds, _small_config(), seed=3)
-    for w0, w1 in zip(
-        mlp_parameters(model.encoders[0]), mlp_parameters(model.encoders[1])
-    ):
-        w1.data[:] = w0.data
+    enc = model.encoders
+    for k in range(len(enc.weights)):
+        enc.weights[k][1] = enc.weights[k][0]
+        enc.biases[k][1] = enc.biases[k][0]
     comps = multiview_loss(model, ds)
     assert comps["alignment"] == 0.0
     assert comps["total"] == comps["sufficiency"]
@@ -404,19 +440,19 @@ def test_handcrafted_affine_model_reaches_zero_loss():
     model = build_identifier(ds, cfg, seed=4)
     lat = model.layout.latent_dim
     d = 2
+    enc, dec = model.encoders, model.decoders
+    _, dec_in, dec_out = dec.weights[0].shape
     for v in range(2):
-        enc = model.encoders[v]
-        enc.weights[0].data[:] = model.encoders[0].weights[0].data
-        enc.biases[0].data[:] = model.encoders[0].biases[0].data
-        dec = model.decoders[v]
-        w = np.zeros((dec.in_dim, dec.out_dim))
-        b = np.zeros(dec.out_dim)
-        for j in range(dec.out_dim):
+        enc.weights[0][v] = enc.weights[0][0]
+        enc.biases[0][v] = enc.biases[0][0]
+        w = np.zeros((dec_in, dec_out))
+        b = np.zeros(dec_out)
+        for j in range(dec_out):
             c = j % d
             w[lat + j, j] = model.prep.aux_std[v][j] / model.prep.tgt_std[v][c]
             b[j] = (model.prep.aux_mean[v][j] - model.prep.tgt_mean[v][c]) / model.prep.tgt_std[v][c]
-        dec.weights[0].data[:] = w.reshape(-1)
-        dec.biases[0].data[:] = b
+        dec.weights[0][v] = w
+        dec.biases[0][v] = b
     comps = multiview_loss(model, ds)
     assert comps["alignment"] == 0.0
     assert comps["sufficiency"] < 1e-12
@@ -435,7 +471,7 @@ def test_loss_batch_subset_matches_manual_graph():
     comps = multiview_loss(model, ds, idx)
     inputs = _batch_inputs(model, ds, idx)
     assert comps == _loss_and_grads(model, *inputs)[0]
-    _, manual = _tape_loss(model, *inputs)
+    _, manual, _ = _tape_loss(model, *inputs)
     for key, value in manual.items():
         assert comps[key] == pytest.approx(value, rel=1e-12)
 
@@ -460,16 +496,18 @@ def test_closed_form_loss_and_gradients_match_the_tape(
     )
     model = build_identifier(ds, cfg, seed=init_seed)
     inputs = _batch_inputs(model, ds, np.arange(5))
-    comps, grads = _loss_and_grads(model, *inputs)
+    comps, grad = _loss_and_grads(model, *inputs)
 
-    params = model_parameters(model)
-    total, ref = _tape_loss(model, *inputs)
-    ad.zero_grad(params)
+    total, ref, leaves = _tape_loss(model, *inputs)
+    ad.zero_grad(leaves)
     ad.backward(total)
     for key, value in ref.items():
         assert comps[key] == pytest.approx(value, rel=1e-12, abs=0.0)
-    for p, g in zip(params, grads):
-        assert g.shape == p.grad.shape
+    assert grad.size == sum(p.data.size for p in leaves)
+    offset = 0
+    for p in leaves:
+        g = grad[offset : offset + p.data.size]
+        offset += p.data.size
         scale = np.max(np.abs(p.grad))
         assert np.max(np.abs(g - p.grad)) <= 1e-12 * scale
 
@@ -487,8 +525,7 @@ def test_training_reduces_loss_and_is_deterministic():
     assert len(hist_a) == 6
     assert hist_a[-1]["total"] < hist_a[0]["total"]
     assert hist_a == hist_b
-    for pa, pb in zip(model_parameters(model_a), model_parameters(model_b)):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    assert model_a.params.tobytes() == model_b.params.tobytes()
 
 
 def test_smoothed_training_loss_is_nonincreasing():
@@ -542,8 +579,7 @@ def test_training_zero_epochs_returns_fresh_model():
     model, history = train_identifier(ds, cfg, seed=5)
     assert history == []
     fresh = build_identifier(ds, cfg, seed=5)
-    for pa, pb in zip(model_parameters(model), model_parameters(fresh)):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    assert model.params.tobytes() == fresh.params.tobytes()
 
 
 def test_training_divergence_is_reported_with_location():
@@ -598,8 +634,7 @@ def test_field_decoder_trains_and_forecasts():
     assert history[-1]["total"] < history[0]["total"]
     again, history_again = train_identifier(ds, cfg, seed=13)
     assert history_again == history
-    for pa, pb in zip(model_parameters(model), model_parameters(again)):
-        assert pa.data.tobytes() == pb.data.tobytes()
+    assert model.params.tobytes() == again.params.tobytes()
     z = encode(model, ds.states[0], 0)
     recon = decode_forecast(model, z, ds.states[0][:, 0], 0)
     assert recon.shape == (16, 8, 2)
@@ -628,8 +663,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert back.config == model.config
     assert back.system_id == model.system_id
     assert back.shared_param_indices == model.shared_param_indices
-    for pa, pb in zip(model_parameters(model), model_parameters(back)):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    assert back.params.tobytes() == model.params.tobytes()
     np.testing.assert_array_equal(back.prep.enc_mean, model.prep.enc_mean)
     np.testing.assert_array_equal(back.prep.tgt_std, model.prep.tgt_std)
     np.testing.assert_array_equal(
@@ -672,14 +706,20 @@ def test_checkpoint_whose_views_differ_in_shape_is_rejected(tmp_path):
         load_identifier(path)
 
 
-def test_loss_rejects_a_model_whose_views_differ_in_shape():
+def test_loss_rejects_a_model_whose_params_disagree_with_its_config():
+    """A parameter buffer one element short or long, shaped as a matrix, or
+    of another dtype does not fit the config and grid; the loss refuses it."""
     ds = _small_dataset(n_pairs=12)
     model = build_identifier(ds, _small_config(), seed=15)
-    model.decoders[1] = ad.mlp_init(
-        model.decoders[1].in_dim, model.decoders[1].out_dim, 17, 2, rng=np.random.default_rng(0)
-    )
-    with pytest.raises(InvalidArgumentError, match="differ in shape"):
-        multiview_loss(model, ds)
+    for params in (
+        model.params[:-1],
+        np.append(model.params, 0.0),
+        model.params.reshape(1, -1),
+        model.params.astype(np.float32),
+    ):
+        bad = dataclasses.replace(model, params=params)
+        with pytest.raises(InvalidArgumentError, match="parameter buffer"):
+            multiview_loss(bad, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -751,8 +791,8 @@ def test_model_archive_roundtrip_is_bit_exact(tmp_path_factory, decoder, n_views
     assert back.config == model.config
     assert (back.system_id, back.shared_param_indices) == (model.system_id, model.shared_param_indices)
     assert back.n_views == n_views
-    for pa, pb in zip(model_parameters(model), model_parameters(back), strict=True):
-        assert pa.shape == pb.shape and pa.data.tobytes() == pb.data.tobytes()
+    assert back.params.shape == model.params.shape
+    assert back.params.tobytes() == model.params.tobytes()
     for name in ("enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std"):
         assert getattr(back.prep, name).tobytes() == getattr(model.prep, name).tobytes()
     assert multiview_loss(back, ds) == multiview_loss(model, ds)
