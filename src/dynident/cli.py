@@ -116,6 +116,8 @@ def _str_tuple(raw):
 
 def _int_tuple(raw):
     if isinstance(raw, (list, tuple)):
+        if not raw:
+            raise ValueError("expected at least one integer, got an empty list")
         for v in raw:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError(f"expected integers in the list, got {v!r}")
@@ -137,6 +139,8 @@ def _prototype_rows(raw):
         rows = [[float(v) for v in tok.split(",")] for tok in raw.split(";") if tok.strip()]
     else:
         raise TypeError(f"expected ';'-separated rows or a list of rows, got {raw!r}")
+    if not rows or not all(rows):
+        raise ValueError(f"expected at least one non-empty row, got {raw!r}")
     if len({len(row) for row in rows}) > 1:
         raise ValueError(f"rows differ in length: {[len(row) for row in rows]}")
     return rows
@@ -376,7 +380,7 @@ def _cmd_systems(cfg: RunConfig) -> None:
     """list the ODE catalog as TSV"""
     print("id\tname\td\tN\tlinear")
     for system in CATALOG.values():
-        linear = "true" if system.basis is not None else "false"
+        linear = "true" if system.linear else "false"
         print(
             f"{system.id}\t{system.name}\t{system.state_dim}"
             f"\t{system.param_dim}\t{linear}"
@@ -465,6 +469,11 @@ def _cmd_train_mv(cfg: RunConfig):
 
 def _eval_tables(model, dataset, seed: int):
     """Accuracy matrix, per-block R² against θ_S, and two-slice ATE rows."""
+    n = dataset.n_pairs
+    if n < 100:
+        raise InvalidArgumentError(
+            "eval: need at least 100 pairs (two ATE slices of >= 50 rows)"
+        )
     system = get_system(dataset.system_id)
     layout = model.layout
     latents = encode(model, dataset.states[0], 0)
@@ -484,11 +493,6 @@ def _eval_tables(model, dataset, seed: int):
         block = latents[:, layout.block_indices(b)]
         r2_rows.append((f"block{b}", latent_r2(block, theta0[:, shared], seed=seed)))
 
-    n = dataset.n_pairs
-    if n < 100:
-        raise InvalidArgumentError(
-            "eval: need at least 100 pairs (two ATE slices of >= 50 rows)"
-        )
     s0 = shared[0]
     treatment = (theta0[:, s0] > midpoints[s0]).astype(int)
     outcome = dataset.states[1][:, :, 0].mean(axis=1)

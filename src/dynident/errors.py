@@ -40,7 +40,7 @@ class DivergenceError(NumericDomainError):
 
 
 class UnsupportedOperationError(DynidentError):
-    """The requested operation does not apply to this system (e.g. no basis)."""
+    """The requested operation does not apply to this system (e.g. closed form, nonlinear field)."""
 
 
 class IllConditionedError(NumericDomainError):

@@ -241,10 +241,11 @@ def fit_closed_form(
 ) -> FitResult:
     """Least-squares estimate for fields linear in theta.
 
-    Solves min_theta ||Phi^T theta - xdot||^2 where row i of Phi holds basis
-    function phi_i evaluated along the trajectory (flattened time-major).
-    Raises :class:`UnsupportedOperationError` when the system carries no
-    basis and :class:`IllConditionedError` when the Gram matrix has condition
+    Solves min_theta ||Phi^T theta - xdot||^2 where row i of Phi holds the
+    basis function phi_i(x) = f(e_i, x) evaluated along the trajectory
+    (flattened time-major); see :func:`basis_matrix`.
+    Raises :class:`UnsupportedOperationError` when the system is not declared
+    linear and :class:`IllConditionedError` when the Gram matrix has condition
     number above 1e12.
     """
     _check_trajectory(system, trajectory)
@@ -513,7 +514,7 @@ def benchmark_rmse(
     reports = []
     for sid in system_ids:
         system = get_system(sid)
-        if method == METHOD_CLOSED and system.basis is None:
+        if method == METHOD_CLOSED and not system.linear:
             raise UnsupportedOperationError(
                 f"{system.id}: closed-form estimation requires a field linear in theta"
             )

@@ -7,8 +7,9 @@ numpy rules and return ``(..., d)``, which lets the integrator and the
 estimators evaluate whole batches of parameter draws in one call.
 
 Systems whose field is *linear* in ``theta`` (f = sum_i theta_i * phi_i(x))
-additionally carry the basis functions ``phi_i``, enabling the closed-form
-least-squares estimator.
+are declared ``linear``, enabling the closed-form least-squares estimator.
+Their basis is read off the field itself: phi_i(x) = f(e_i, x) for the unit
+vector e_i, so no system states its field twice.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ _CARTPOLE_GRAVITY = 9.8
 _CARTPOLE_FORCE = 10.0
 
 FieldFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-BasisFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -43,8 +43,6 @@ class OdeSystem:
         Stable catalog key (also the CLI name).
     name : str
         Human-readable description.
-    state_dim, param_dim : int
-        d and N.
     field : callable
         ``field(theta, x) -> dx``, broadcasting as described in the module
         docstring.
@@ -54,42 +52,52 @@ class OdeSystem:
         Canonical initial condition used by benchmarks.
     t_max : float
         Canonical integration horizon [0, t_max].
-    basis : list of callables, optional
-        Present iff the field is linear in theta; ``basis[i](x)`` returns the
-        d-vector phi_i(x) and ``field(theta, x) == sum_i theta_i * basis[i](x)``.
+    linear : bool
+        Declares the field linear in theta, so that
+        ``field(theta, x) == sum_i theta_i * field(e_i, x)`` and the
+        closed-form estimator applies.
     chaotic : bool
         Flags systems benchmarked in a narrow band around a chaotic
         configuration (multi-start estimation, +/-5% box).
+
+    The dimensions are read off the arrays: ``state_dim`` (d) is the length
+    of ``x0`` and ``param_dim`` (N) that of ``param_lo``.
     """
 
     id: str
     name: str
-    state_dim: int
-    param_dim: int
     field: FieldFn
     param_lo: np.ndarray
     param_hi: np.ndarray
     x0: np.ndarray
     t_max: float
-    basis: Optional[list] = None
+    linear: bool = False
     chaotic: bool = False
 
     def __post_init__(self):
         self.param_lo = np.asarray(self.param_lo, dtype=float)
         self.param_hi = np.asarray(self.param_hi, dtype=float)
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.state_dim < 1 or self.param_dim < 1:
-            raise InvalidArgumentError(f"{self.id}: dimensions must be positive")
-        if self.param_lo.shape != (self.param_dim,) or self.param_hi.shape != (self.param_dim,):
+        if self.x0.ndim != 1 or self.x0.size == 0:
+            raise InvalidArgumentError(f"{self.id}: x0 must be a non-empty vector")
+        if (
+            self.param_lo.ndim != 1
+            or self.param_lo.size == 0
+            or self.param_hi.shape != self.param_lo.shape
+        ):
             raise InvalidArgumentError(f"{self.id}: parameter box shape mismatch")
         if not np.all(self.param_lo < self.param_hi):
             raise InvalidArgumentError(f"{self.id}: parameter box requires lo < hi componentwise")
-        if self.x0.shape != (self.state_dim,):
-            raise InvalidArgumentError(f"{self.id}: x0 must have shape ({self.state_dim},)")
-        if self.basis is not None and len(self.basis) != self.param_dim:
-            raise InvalidArgumentError(
-                f"{self.id}: linear-in-theta basis needs exactly one function per parameter"
-            )
+
+    @property
+    def state_dim(self) -> int:
+        """d, the length of ``x0``."""
+        return len(self.x0)
+
+    @property
+    def param_dim(self) -> int:
+        """N, the length of the parameter box."""
+        return len(self.param_lo)
 
     @property
     def param_midpoint(self) -> np.ndarray:
@@ -210,262 +218,48 @@ def _cartpole(theta, x):
     return np.stack(np.broadcast_arrays(vel, lin_acc, omega, ang_acc), axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# Linear-in-theta bases.  basis[i](x) is the d-vector multiplying theta_i.
-# ---------------------------------------------------------------------------
-
-
-def _zeros_like_component(c):
-    return np.zeros_like(c)
-
-
-_GROWTH_BASIS = [lambda x: x]
-_FALL_DRAG_BASIS = [lambda x: np.ones_like(x), lambda x: -(x**2)]
-_AUTOCATALYSIS_BASIS = [lambda x: x, lambda x: -(x**2)]
-
-
-def _lv_basis_growth(x):
-    prey = x[..., 0]
-    return np.stack((prey, _zeros_like_component(prey)), axis=-1)
-
-
-def _lv_basis_predation(x):
-    prod = x[..., 0] * x[..., 1]
-    return np.stack((-prod, _zeros_like_component(prod)), axis=-1)
-
-
-def _lv_basis_mortality(x):
-    pred = x[..., 1]
-    return np.stack((_zeros_like_component(pred), -pred), axis=-1)
-
-
-def _lv_basis_conversion(x):
-    prod = x[..., 0] * x[..., 1]
-    return np.stack((_zeros_like_component(prod), prod), axis=-1)
-
-
-def _sir_basis_transmission(x):
-    prod = x[..., 0] * x[..., 1]
-    return np.stack((-prod, prod), axis=-1)
-
-
-def _sir_basis_recovery(x):
-    i = x[..., 1]
-    return np.stack((np.zeros_like(i), -i), axis=-1)
-
-
-def _seir_basis_incubation(x):
-    e = x[..., 1]
-    z = np.zeros_like(e)
-    return np.stack((z, -e, e, z), axis=-1)
-
-
-def _seir_basis_transmission(x):
-    prod = x[..., 0] * x[..., 2]
-    z = np.zeros_like(prod)
-    return np.stack((-prod, prod, z, z), axis=-1)
-
-
-def _seir_basis_recovery(x):
-    i = x[..., 2]
-    z = np.zeros_like(i)
-    return np.stack((z, z, -i, i), axis=-1)
-
-
-_LV_BASIS = [_lv_basis_growth, _lv_basis_predation, _lv_basis_mortality, _lv_basis_conversion]
-_SIR_BASIS = [_sir_basis_transmission, _sir_basis_recovery]
-_SEIR_BASIS = [_seir_basis_incubation, _seir_basis_transmission, _seir_basis_recovery]
-
-
-def _box(canonical, factor_lo=0.5, factor_hi=2.0):
-    c = np.asarray(canonical, dtype=float)
-    return c * factor_lo, c * factor_hi
-
-
-_LORENZ_CANONICAL = np.array([10.0, 28.0, 8.0 / 3.0])
-
 CATALOG: dict[str, OdeSystem] = {}
 
 
-def _register(system: OdeSystem) -> None:
-    CATALOG[system.id] = system
+def _register(id, name, field, canonical, x0, t_max, *, spread=(0.5, 2.0), **flags):
+    """Add a system whose box spans ``canonical`` scaled by ``spread``."""
+    canonical = np.asarray(canonical, dtype=float)
+    CATALOG[id] = OdeSystem(
+        id, name, field, canonical * spread[0], canonical * spread[1], x0, t_max, **flags
+    )
 
 
+_register("ode2", "population growth, unbounded", _growth, [1.0], [0.5], 2.0, linear=True)
+_register("ode3", "population growth with carrying capacity", _logistic, [1.0, 2.0], [0.1], 10.0)
 _register(
-    OdeSystem(
-        id="ode2",
-        name="population growth, unbounded",
-        state_dim=1,
-        param_dim=1,
-        field=_growth,
-        param_lo=_box([1.0])[0],
-        param_hi=_box([1.0])[1],
-        x0=[0.5],
-        t_max=2.0,
-        basis=_GROWTH_BASIS,
-    )
+    "ode5", "falling object with air resistance", _fall_drag, [9.8, 0.5], [0.0], 3.0, linear=True
 )
 _register(
-    OdeSystem(
-        id="ode3",
-        name="population growth with carrying capacity",
-        state_dim=1,
-        param_dim=2,
-        field=_logistic,
-        param_lo=_box([1.0, 2.0])[0],
-        param_hi=_box([1.0, 2.0])[1],
-        x0=[0.1],
-        t_max=10.0,
-    )
+    "ode6", "autocatalysis with one fixed abundant chemical", _autocatalysis, [1.0, 0.5], [0.1],
+    10.0, linear=True,
+)
+_register("ode24", "harmonic oscillator without damping", _harmonic, [1.0], [1.0, 0.0], 10.0)
+_register(
+    "ode25", "harmonic oscillator with damping", _damped_harmonic, [1.0, 0.5], [1.0, 0.0], 10.0
 )
 _register(
-    OdeSystem(
-        id="ode5",
-        name="falling object with air resistance",
-        state_dim=1,
-        param_dim=2,
-        field=_fall_drag,
-        param_lo=_box([9.8, 0.5])[0],
-        param_hi=_box([9.8, 0.5])[1],
-        x0=[0.0],
-        t_max=3.0,
-        basis=_FALL_DRAG_BASIS,
-    )
+    "ode27", "Lotka-Volterra predator-prey", _lotka_volterra, [1.0, 0.5, 1.0, 0.5], [2.0, 1.0],
+    10.0, linear=True,
+)
+_register("ode28", "pendulum without friction", _pendulum, [2.0], [1.5, 0.0], 10.0)
+_register("ode31", "SIR infection dynamics", _sir, [2.0, 1.0], [0.99, 0.01], 10.0, linear=True)
+_register("ode50", "Schnakenberg chemical oscillator", _schnakenberg, [0.1, 0.9], [1.0, 1.0], 20.0)
+_register(
+    "ode56", "Lorenz attractor", _lorenz, [10.0, 28.0, 8.0 / 3.0], [1.0, 1.0, 1.0], 2.0,
+    spread=(0.95, 1.05), chaotic=True,
 )
 _register(
-    OdeSystem(
-        id="ode6",
-        name="autocatalysis with one fixed abundant chemical",
-        state_dim=1,
-        param_dim=2,
-        field=_autocatalysis,
-        param_lo=_box([1.0, 0.5])[0],
-        param_hi=_box([1.0, 0.5])[1],
-        x0=[0.1],
-        t_max=10.0,
-        basis=_AUTOCATALYSIS_BASIS,
-    )
+    "ode63", "SEIR infection dynamics", _seir, [0.5, 1.5, 0.5], [0.97, 0.02, 0.01, 0.0], 15.0,
+    linear=True,
 )
 _register(
-    OdeSystem(
-        id="ode24",
-        name="harmonic oscillator without damping",
-        state_dim=2,
-        param_dim=1,
-        field=_harmonic,
-        param_lo=_box([1.0])[0],
-        param_hi=_box([1.0])[1],
-        x0=[1.0, 0.0],
-        t_max=10.0,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode25",
-        name="harmonic oscillator with damping",
-        state_dim=2,
-        param_dim=2,
-        field=_damped_harmonic,
-        param_lo=_box([1.0, 0.5])[0],
-        param_hi=_box([1.0, 0.5])[1],
-        x0=[1.0, 0.0],
-        t_max=10.0,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode27",
-        name="Lotka-Volterra predator-prey",
-        state_dim=2,
-        param_dim=4,
-        field=_lotka_volterra,
-        param_lo=_box([1.0, 0.5, 1.0, 0.5])[0],
-        param_hi=_box([1.0, 0.5, 1.0, 0.5])[1],
-        x0=[2.0, 1.0],
-        t_max=10.0,
-        basis=_LV_BASIS,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode28",
-        name="pendulum without friction",
-        state_dim=2,
-        param_dim=1,
-        field=_pendulum,
-        param_lo=_box([2.0])[0],
-        param_hi=_box([2.0])[1],
-        x0=[1.5, 0.0],
-        t_max=10.0,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode31",
-        name="SIR infection dynamics",
-        state_dim=2,
-        param_dim=2,
-        field=_sir,
-        param_lo=_box([2.0, 1.0])[0],
-        param_hi=_box([2.0, 1.0])[1],
-        x0=[0.99, 0.01],
-        t_max=10.0,
-        basis=_SIR_BASIS,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode50",
-        name="Schnakenberg chemical oscillator",
-        state_dim=2,
-        param_dim=2,
-        field=_schnakenberg,
-        param_lo=_box([0.1, 0.9])[0],
-        param_hi=_box([0.1, 0.9])[1],
-        x0=[1.0, 1.0],
-        t_max=20.0,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode56",
-        name="Lorenz attractor",
-        state_dim=3,
-        param_dim=3,
-        field=_lorenz,
-        param_lo=_LORENZ_CANONICAL * 0.95,
-        param_hi=_LORENZ_CANONICAL * 1.05,
-        x0=[1.0, 1.0, 1.0],
-        t_max=2.0,
-        chaotic=True,
-    )
-)
-_register(
-    OdeSystem(
-        id="ode63",
-        name="SEIR infection dynamics",
-        state_dim=4,
-        param_dim=3,
-        field=_seir,
-        param_lo=_box([0.5, 1.5, 0.5])[0],
-        param_hi=_box([0.5, 1.5, 0.5])[1],
-        x0=[0.97, 0.02, 0.01, 0.0],
-        t_max=15.0,
-        basis=_SEIR_BASIS,
-    )
-)
-_register(
-    OdeSystem(
-        id="cartpole",
-        name="cart-pole under constant force",
-        state_dim=4,
-        param_dim=3,
-        field=_cartpole,
-        param_lo=_box([1.0, 0.1, 0.5])[0],
-        param_hi=_box([1.0, 0.1, 0.5])[1],
-        x0=[0.0, 0.0, 0.1, 0.0],
-        t_max=2.0,
-    )
+    "cartpole", "cart-pole under constant force", _cartpole, [1.0, 0.1, 0.5],
+    [0.0, 0.0, 0.1, 0.0], 2.0,
 )
 
 
@@ -534,18 +328,19 @@ def sample_parameters(
 
 
 def basis_matrix(system: OdeSystem, states: np.ndarray) -> np.ndarray:
-    """Stack basis evaluations into the m x (T*d) design used by closed form.
+    """Stack basis evaluations into the N x (T*d) design used by closed form.
 
-    Row i holds phi_i evaluated at every grid state, flattened time-major
-    then state-component — the same order as flattening the (T, d) state
-    array itself.
+    Row i holds phi_i(x) = field(e_i, x) evaluated at every grid state,
+    flattened time-major then state-component — the same order as
+    flattening the (T, d) state array itself.  All N rows come from one
+    batched field call.
     """
-    if system.basis is None:
-        raise UnsupportedOperationError(f"{system.id}: field is not linear in theta (no basis)")
+    if not system.linear:
+        raise UnsupportedOperationError(f"{system.id}: field is not declared linear in theta")
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != system.state_dim:
         raise InvalidArgumentError(
             f"basis_matrix: states must have shape (T, {system.state_dim}), got {states.shape}"
         )
-    rows = [np.asarray(phi(states), dtype=float).reshape(-1) for phi in system.basis]
-    return np.stack(rows, axis=0)
+    n = system.param_dim
+    return system.field(np.eye(n)[:, None, :], states).reshape(n, -1)

@@ -170,15 +170,28 @@ def test_emit_report_rejects_empty_list(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+_SYSTEMS_TSV = """\
+id\tname\td\tN\tlinear
+ode2\tpopulation growth, unbounded\t1\t1\ttrue
+ode3\tpopulation growth with carrying capacity\t1\t2\tfalse
+ode5\tfalling object with air resistance\t1\t2\ttrue
+ode6\tautocatalysis with one fixed abundant chemical\t1\t2\ttrue
+ode24\tharmonic oscillator without damping\t2\t1\tfalse
+ode25\tharmonic oscillator with damping\t2\t2\tfalse
+ode27\tLotka-Volterra predator-prey\t2\t4\ttrue
+ode28\tpendulum without friction\t2\t1\tfalse
+ode31\tSIR infection dynamics\t2\t2\ttrue
+ode50\tSchnakenberg chemical oscillator\t2\t2\tfalse
+ode56\tLorenz attractor\t3\t3\tfalse
+ode63\tSEIR infection dynamics\t4\t3\ttrue
+cartpole\tcart-pole under constant force\t4\t3\tfalse
+"""
+
+
 def test_systems_list_prints_catalog_tsv(capsys):
+    """The whole table is pinned: ids, names, d, N and the linear flag."""
     assert main(["systems", "list"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "id\tname\td\tN\tlinear"
-    rows = {line.split("\t")[0]: line.split("\t") for line in out[1:]}
-    assert "ode27" in rows and "cartpole" in rows
-    assert rows["ode27"][4] == "true"  # Lotka-Volterra is linear in theta
-    assert rows["ode24"][4] == "false"
-    assert all(len(r) == 5 for r in rows.values())
+    assert capsys.readouterr().out == _SYSTEMS_TSV
 
 
 def test_simulate_writes_trajectories_and_manifest(tmp_path):
@@ -330,6 +343,35 @@ def test_eval_rejects_mismatched_model_and_data(tmp_path, capsys):
     assert "ode31" in capsys.readouterr().err
 
 
+def test_eval_refuses_fewer_than_100_pairs_before_any_probe(tmp_path, capsys, monkeypatch):
+    from dynident import cli
+
+    data = tmp_path / "small.npz"
+    model = tmp_path / "model.npz"
+    assert main(
+        ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "99",
+         "--seed", "1", "--grid-points", "16", "--t-max", "5", "--out", str(data)]
+    ) == 0
+    assert main(
+        ["train-mv", "--data", str(data), "--out", str(model), "--epochs", "1",
+         "--blocks", "2,2", "--hidden-dim", "8", "--depth", "2", "--n-init", "2"]
+    ) == 0
+    capsys.readouterr()
+
+    def probe_reached(*args, **kwargs):
+        raise AssertionError("a probe ran before the pair count was checked")
+
+    monkeypatch.setattr(cli, "partition_accuracy_matrix", probe_reached)
+    monkeypatch.setattr(cli, "latent_r2", probe_reached)
+    report = tmp_path / "e.csv"
+    rc = main(["eval", "--model", str(model), "--data", str(data), "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "dynident: config: eval: need at least 100 pairs (two ATE slices of >= 50 rows)\n"
+    )
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes, errors, threads.
 # ---------------------------------------------------------------------------
@@ -387,15 +429,27 @@ def _wrong_json_values(opt):
     ints = st.lists(st.integers(), max_size=2)
     if opt.parse is _int_tuple:
         not_int = st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
-        return st.one_of(wrong, st.tuples(ints, not_int, ints).map(lambda t: t[0] + [t[1]] + t[2]))
+        return st.one_of(wrong, st.just([]),
+                         st.tuples(ints, not_int, ints).map(lambda t: t[0] + [t[1]] + t[2]))
     if opt.parse is _prototype_rows:
         row = st.lists(st.floats(-5.0, 5.0), max_size=2)
         not_number = st.one_of(st.booleans(), st.text(max_size=3))
-        return st.one_of(wrong, st.tuples(row, not_number).map(lambda t: [t[0] + [t[1]]]))
+        return st.one_of(wrong, st.sampled_from([[], [[]], ";"]),
+                         st.tuples(row, not_number).map(lambda t: [t[0] + [t[1]]]))
     return wrong
 
 
 _SCHEMA_KEYS = [(command, key) for command, schema in _SCHEMAS.items() for key in schema]
+
+
+def _assert_config_value_exits_1_naming_the_key(cfg, command, key, value):
+    cfg.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg)])
+    assert rc == 1
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith(f"dynident: config: {key}:")
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,13 +458,21 @@ def test_wrong_typed_config_value_exits_1_naming_the_key(tmp_path_factory, comma
     command, key = command_key
     value = data.draw(_wrong_json_values(_SCHEMAS[command][key]))
     cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = main([command, "--config", str(cfg)])
-    assert rc == 1
-    assert err.getvalue().count("\n") == 1
-    assert err.getvalue().startswith(f"dynident: config: {key}:")
+    _assert_config_value_exits_1_naming_the_key(cfg, command, key, value)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("synth-mv", "shared", []),
+        ("synth-mv", "prototypes", []),
+        ("synth-mv", "prototypes", [[]]),
+        ("synth-mv", "prototypes", ";"),
+        ("train-mv", "block_sizes", []),
+    ],
+)
+def test_empty_list_config_value_exits_1_naming_the_key(tmp_path, command, key, value):
+    _assert_config_value_exits_1_naming_the_key(tmp_path / "cfg.json", command, key, value)
 
 
 # (option strings, dest, value type) of every subcommand's options, as argparse
@@ -532,11 +594,12 @@ def test_unknown_system_id_exits_1(tmp_path, capsys):
 
 
 def test_ragged_prototypes_exit_1(tmp_path, capsys):
-    rc = main(["synth-mv", "--system", "ode27", "--shared", "0,1",
-               "--prototypes", "0.7,1.6;1.7", "--out", str(tmp_path / "p.npz")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.count("\n") == 1 and err.startswith("dynident: config: prototypes: ")
+    for prototypes in ("0.7,1.6;1.7", ";", " "):  # ragged, then no rows at all
+        rc = main(["synth-mv", "--system", "ode27", "--shared", "0,1",
+                   "--prototypes", prototypes, "--out", str(tmp_path / "p.npz")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("dynident: config: prototypes: ")
 
 
 def test_report_rejects_a_non_numeric_cell(tmp_path, capsys):

@@ -62,14 +62,12 @@ def test_closed_form_duplicate_basis_is_ill_conditioned():
     dup = OdeSystem(
         id="dup",
         name="duplicated basis function",
-        state_dim=1,
-        param_dim=2,
         field=lambda th, x: (th[..., 0:1] + th[..., 1:2]) * x,
         param_lo=np.array([0.5, 0.5]),
         param_hi=np.array([2.0, 2.0]),
         x0=[1.0],
         t_max=1.0,
-        basis=[lambda x: x, lambda x: x],
+        linear=True,
     )
     traj = integrate(dup, np.array([1.0, 1.0]), np.array([1.0]), TimeGrid.uniform(0, 1, 20))
     with pytest.raises(IllConditionedError):
@@ -192,14 +190,12 @@ def test_benchmark_counts_divergent_draws_as_failures():
     blowup = OdeSystem(
         id="blowup_bench",
         name="blow-up benchmark probe",
-        state_dim=1,
-        param_dim=1,
         field=lambda th, x: th[..., 0:1] * x**2,
         param_lo=np.array([0.01]),
         param_hi=np.array([1.0]),
         x0=[1.0],
         t_max=3.0,
-        basis=[lambda x: x**2],
+        linear=True,
     )
     CATALOG[blowup.id] = blowup
     try:
@@ -215,8 +211,6 @@ def _blowup_system(hi):
     return OdeSystem(
         id="blowup_box",
         name="blow-up probe",
-        state_dim=1,
-        param_dim=1,
         field=lambda th, x: th[..., 0:1] * x**2,
         param_lo=np.array([0.01]),
         param_hi=np.array([hi]),
@@ -361,8 +355,6 @@ def test_lockstep_traj_benchmark_matches_one_fit_at_a_time(sid, n_draws, seed, n
     blowup = OdeSystem(
         id="blowup_traj",
         name="blow-up probe for trajectory matching",
-        state_dim=1,
-        param_dim=1,
         field=lambda th, x: th[..., 0:1] * x**2,
         param_lo=np.array([0.01]),
         param_hi=np.array([0.5]),

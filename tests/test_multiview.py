@@ -276,8 +276,6 @@ def test_dataset_redraws_divergent_rows():
     blowup = OdeSystem(
         id="blowup-mv",
         name="quadratic blow-up probe",
-        state_dim=1,
-        param_dim=2,
         field=lambda th, x: np.stack((th[..., 0] * x[..., 0] ** 2,), axis=-1),
         param_lo=np.array([0.1, 0.5]),
         param_hi=np.array([5.0, 2.0]),
@@ -300,8 +298,6 @@ def test_dataset_redraw_gives_up_when_all_draws_diverge():
     blowup = OdeSystem(
         id="blowup-mv-hopeless",
         name="always diverges",
-        state_dim=1,
-        param_dim=2,
         field=lambda th, x: np.stack((th[..., 0] * x[..., 0] ** 2,), axis=-1),
         param_lo=np.array([5.0, 0.5]),
         param_hi=np.array([10.0, 2.0]),

@@ -102,8 +102,6 @@ def test_divergence_guard_carries_first_bad_time():
     blowup = OdeSystem(
         id="blowup",
         name="finite-time blow-up x' = th * x^2",
-        state_dim=1,
-        param_dim=1,
         field=lambda th, x: th[..., 0:1] * x**2,
         param_lo=np.array([0.5]),
         param_hi=np.array([2.0]),
@@ -121,8 +119,6 @@ def test_integrate_batch_masks_divergent_rows():
     blowup = OdeSystem(
         id="blowup",
         name="blow-up",
-        state_dim=1,
-        param_dim=1,
         field=lambda th, x: th[..., 0:1] * x**2,
         param_lo=np.array([0.0001]),
         param_hi=np.array([2.0]),

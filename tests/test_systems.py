@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynident import (
     CATALOG,
@@ -184,22 +186,25 @@ LINEAR_IDS = ["ode2", "ode5", "ode6", "ode27", "ode31", "ode63"]
 
 def test_linear_systems_carry_basis():
     for sid in LINEAR_IDS:
-        assert get_system(sid).basis is not None
+        assert get_system(sid).linear
     for sid in ["ode3", "ode24", "ode25", "ode28", "ode50", "ode56", "cartpole"]:
-        assert get_system(sid).basis is None
+        assert not get_system(sid).linear
 
 
-def test_basis_linearity_identity():
-    """field(theta, x) == sum_i theta_i phi_i(x) wherever a basis exists."""
-    rng = np.random.default_rng(7)
-    for sid in LINEAR_IDS:
-        s = get_system(sid)
-        for _ in range(100):
-            theta = s.param_lo + rng.random(s.param_dim) * (s.param_hi - s.param_lo)
-            x = rng.uniform(0.1, 3.0, size=s.state_dim)
-            f = eval_vector_field(s, theta, x)
-            combo = sum(t * phi(x) for t, phi in zip(theta, s.basis))
-            assert np.max(np.abs(f - combo)) <= 1e-12 * (1.0 + np.max(np.abs(f)))
+@settings(max_examples=200, deadline=None)
+@given(sid=st.sampled_from(LINEAR_IDS), n_steps=st.integers(1, 8), data=st.data())
+def test_basis_linearity_identity(sid, n_steps, data):
+    """theta @ basis_matrix(s, X) == field(theta, X) for theta in the box and any states."""
+    s = get_system(sid)
+    u = data.draw(arrays(np.float64, s.param_dim, elements=st.floats(0.0, 1.0)))
+    theta = s.param_lo + u * (s.param_hi - s.param_lo)
+    states = data.draw(
+        arrays(np.float64, (n_steps, s.state_dim), elements=st.floats(-3.0, 3.0))
+    )
+    f = s.field(theta, states).ravel()
+    combo = theta @ basis_matrix(s, states)
+    assert combo.shape == f.shape
+    assert np.max(np.abs(combo - f)) <= 1e-12 * (1.0 + np.max(np.abs(f)))
 
 
 def test_basis_matrix_constant_trajectory():
@@ -226,15 +231,28 @@ def test_basis_matrix_without_basis_raises():
 
 
 def test_custom_system_validation():
-    with pytest.raises(InvalidArgumentError):
-        OdeSystem(
-            id="bad",
-            name="bad box",
-            state_dim=1,
-            param_dim=1,
-            field=lambda th, x: x,
-            param_lo=np.array([2.0]),
-            param_hi=np.array([1.0]),
-            x0=[0.1],
-            t_max=1.0,
-        )
+    cases = [
+        ([0.1], [2.0], [1.0]),  # lo > hi
+        ([], [1.0], [2.0]),  # empty state
+        ([[0.1]], [1.0], [2.0]),  # 2-d state
+        ([0.1], [], []),  # empty box
+        ([0.1], [[1.0]], [[2.0]]),  # 2-d box
+        ([0.1], [1.0, 1.0], [2.0]),  # lo and hi differ in shape
+    ]
+    for x0, lo, hi in cases:
+        with pytest.raises(InvalidArgumentError):
+            OdeSystem(
+                id="bad",
+                name="bad box or state",
+                field=lambda th, x: x,
+                param_lo=np.array(lo),
+                param_hi=np.array(hi),
+                x0=x0,
+                t_max=1.0,
+            )
+
+
+def test_custom_system_dimensions_come_from_x0_and_box():
+    s = OdeSystem(id="dims", name="d = 3, N = 2", field=lambda th, x: x,
+                  param_lo=[0.0, 1.0], param_hi=[1.0, 2.0], x0=[0.0, 0.0, 0.0], t_max=1.0)
+    assert (s.state_dim, s.param_dim, s.linear, s.chaotic) == (3, 2, False, False)
