@@ -8,6 +8,7 @@ errors, then runs the sampled-draw RMSE benchmark on a handful of systems
 and renders its report table.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -46,9 +47,11 @@ def main():
 
     print("\nsampled-draw benchmark (20 draws each, exact derivatives):")
     reports = benchmark_rmse(["ode2", "ode6", "ode27", "ode31"], 20, "deriv", seed=7)
-    with tempfile.NamedTemporaryFile("r", suffix=".md") as fh:
-        emit_report(reports, md_path=fh.name)
-        print(fh.read())
+    with tempfile.TemporaryDirectory() as tmp:
+        md_path = os.path.join(tmp, "report.md")
+        emit_report(reports, md_path=md_path)
+        with open(md_path) as fh:
+            print(fh.read())
 
 
 if __name__ == "__main__":

@@ -515,6 +515,12 @@ def _cmd_eval(cfg: RunConfig):
             f"eval: model was trained on {model.system_id!r} "
             f"but the dataset is {dataset.system_id!r}"
         )
+    grids = [(g.t0, g.t_max, g.n_points) for g in (model.grid, dataset.grid)]
+    if grids[0] != grids[1]:
+        raise InvalidArgumentError(
+            f"eval: model was trained on the grid (t0, t_max, n_points) = {grids[0]} "
+            f"but the dataset's grid is {grids[1]}"
+        )
     accuracy, factor_names, r2_rows, ate_rows = _eval_tables(
         model, dataset, cfg["seed"]
     )

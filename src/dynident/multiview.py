@@ -36,10 +36,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -280,15 +281,18 @@ def generate_multiview_dataset(
 # Dataset and model files.
 #
 # Both are uncompressed zip archives: a ``meta.json`` member for the scalars
-# and one ``.npy`` member per array.  Every entry carries the same fixed
-# timestamp, so equal contents give byte-identical files, and zip's CRC-32
-# covers every member, so a damaged file is refused rather than misread.
+# and one ``.npy`` member per array.  A model's arrays are its six
+# preprocessing statistics and its one parameter buffer, stored as it lives
+# in memory, so the buffer's layout is written down only in _block_shapes.
+# Every entry carries the same fixed timestamp, so equal contents give
+# byte-identical files, and zip's CRC-32 covers every member, so a damaged
+# file is refused rather than misread.
 # ---------------------------------------------------------------------------
 
-_SCHEMA_VERSION = 2
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 _DATASET_KIND = "multiview-dataset"
 _MODEL_KIND = "multiview-model"
+_SCHEMA_VERSION = {_DATASET_KIND: 2, _MODEL_KIND: 3}
 _PREP_FIELDS = ("enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std")
 _ARCHIVE_LAYOUT = {  # kind -> (required meta.json keys, required array members)
     _DATASET_KIND: (
@@ -297,7 +301,7 @@ _ARCHIVE_LAYOUT = {  # kind -> (required meta.json keys, required array members)
     ),
     _MODEL_KIND: (
         ("config", "system_id", "shared_param_indices", "grid"),
-        tuple(f"prep.{name}" for name in _PREP_FIELDS),
+        tuple(f"prep.{name}" for name in _PREP_FIELDS) + ("params",),
     ),
 }
 
@@ -363,11 +367,12 @@ def _read_archive(path, kind: str) -> tuple[dict, dict]:
         raise FileFormatError(f"{path}: meta.json is not a JSON object")
     if meta.get("kind") != kind:
         raise FileFormatError(f"{path}: not a {kind} file (kind {meta.get('kind')!r})")
-    if meta.get("schema_version") != _SCHEMA_VERSION:
-        raise FileFormatError(
-            f"{path}: schema_version {meta.get('schema_version')!r}, "
-            f"expected {_SCHEMA_VERSION}"
-        )
+    version = meta.get("schema_version")
+    if version != _SCHEMA_VERSION[kind]:
+        reason = f"schema_version {version!r}, expected {_SCHEMA_VERSION[kind]}"
+        if kind == _MODEL_KIND and version == 2:  # per-layer members
+            reason += "; schema 2 model files are no longer read; retrain with train-mv"
+        raise FileFormatError(f"{path}: {reason}")
     missing = [k for k in keys if k not in meta] + [
         f"{m}.npy" for m in members if m not in arrays
     ]
@@ -400,7 +405,7 @@ def save_dataset(path, dataset: MultiviewDataset) -> None:
     """
     meta = {
         "kind": _DATASET_KIND,
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": _SCHEMA_VERSION[_DATASET_KIND],
         "system_id": dataset.system_id,
         "shared_param_indices": list(dataset.shared_param_indices),
         "grid": _grid_record(dataset.grid),
@@ -448,6 +453,17 @@ def load_dataset(path) -> MultiviewDataset:
 # ---------------------------------------------------------------------------
 
 
+_FIELD_TYPES = {  # annotation -> (accepted type, stored as, description); bools are refused
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "str": (str, str, "a string"),
+}
+
+
+def _is_a(value, annotation: str) -> bool:
+    return isinstance(value, _FIELD_TYPES[annotation][0]) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IdentifierConfig:
     """Architecture plus training hyper-parameters for one identifier."""
@@ -466,8 +482,17 @@ class IdentifierConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        """Raise an error naming the first field out of range."""
+        """Raise an error naming the first field of the wrong type or out of range."""
+        if not isinstance(self.block_sizes, (tuple, list)) or not all(
+            _is_a(s, "int") for s in self.block_sizes
+        ):
+            raise ConfigError("block_sizes: must be a list of integers")
         object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
+        for f in fields(self)[1:]:  # after block_sizes
+            value = getattr(self, f.name)
+            if not _is_a(value, f.type):
+                raise ConfigError(f"{f.name}: must be {_FIELD_TYPES[f.type][2]}")
+            object.__setattr__(self, f.name, _FIELD_TYPES[f.type][1](value))
         PartitionLayout(self.block_sizes, self.shared_block)  # checks both fields
         for key, ok, rule in (
             ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
@@ -556,8 +581,8 @@ class IdentifierModel:
         sizes = [math.prod(shape) for shape in shapes]
         if buf.shape != (sum(sizes),) or buf.dtype != np.float64:
             raise InvalidArgumentError(
-                f"parameter buffer of shape {buf.shape} and dtype {buf.dtype}: the "
-                f"model's config, grid and views call for ({sum(sizes)},) float64"
+                f"parameter buffer of shape {buf.shape} and dtype {buf.dtype}: the model's "
+                f"config, grid and views call for params of ({sum(sizes)},) float64"
             )
         pieces = np.split(buf, np.cumsum(sizes)[:-1])
         blocks = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
@@ -598,24 +623,19 @@ def _stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _net_dims(config: IdentifierConfig, n_feat: int, t_pts: int, d: int) -> tuple[list, list]:
-    """The layer widths, input first, of the encoder and of the decoder for
-    ``n_feat`` encoder features and ``t_pts`` grid points of ``d``-dimensional
-    states."""
-    hidden = [config.hidden_dim] * (config.depth - 1)
-    if config.decoder == "direct":
-        dec_in, dec_out = config.layout.latent_dim + config.n_init * d, t_pts * d
-    else:  # latent-conditioned vector field
-        dec_in, dec_out = config.layout.latent_dim + d, d
-    return [n_feat] + hidden + [config.layout.latent_dim], [dec_in] + hidden + [dec_out]
-
-
 def _block_shapes(config: IdentifierConfig, prep: Preprocessing, grid: TimeGrid) -> list:
-    """The stacked shape of every block of a model's parameter buffer, in order."""
+    """The stacked shape of every block of a model's parameter buffer, in
+    order: for the encoder and then the decoder, each layer's weights
+    (V, fan_in, fan_out) followed by its biases (V, fan_out)."""
     n_views, d = prep.tgt_mean.shape
+    latent, hidden = config.layout.latent_dim, [config.hidden_dim] * (config.depth - 1)
+    if config.decoder == "direct":
+        dec_in, dec_out = latent + config.n_init * d, grid.n_points * d
+    else:  # latent-conditioned vector field
+        dec_in, dec_out = latent + d, d
     return [
         shape
-        for dims in _net_dims(config, prep.enc_mean.shape[1], grid.n_points, d)
+        for dims in ([prep.enc_mean.shape[1], *hidden, latent], [dec_in, *hidden, dec_out])
         for fan_in, fan_out in zip(dims[:-1], dims[1:])
         for shape in ((n_views, fan_in, fan_out), (n_views, fan_out))
     ]
@@ -1119,112 +1139,58 @@ def alignment_ratio(model: IdentifierModel, dataset: MultiviewDataset) -> float:
 
 
 def save_identifier(path, model: IdentifierModel) -> None:
-    """Write ``model`` as an archive: ``meta.json`` (kind, schema_version,
-    config, system_id, shared_param_indices, grid) and one float64 member
-    per array, ``prep.<statistic>`` and
-    ``<encoders|decoders>.<view>.<weights|biases>.<layer>``.
+    """Write ``model`` as an archive: ``meta.json`` (kind, schema_version 3,
+    config, system_id, shared_param_indices, grid), the six float64 members
+    ``prep.<statistic>`` and the float64 member ``params``, the model's
+    parameter buffer as it is.
 
     Reloading is bit-exact.
     """
-    cfg = {f.name: getattr(model.config, f.name) for f in fields(model.config)}
-    cfg["block_sizes"] = list(cfg["block_sizes"])
     meta = {
         "kind": _MODEL_KIND,
-        "schema_version": _SCHEMA_VERSION,
-        "config": cfg,
+        "schema_version": _SCHEMA_VERSION[_MODEL_KIND],
+        "config": asdict(model.config),
         "system_id": model.system_id,
         "shared_param_indices": list(model.shared_param_indices),
         "grid": _grid_record(model.grid),
     }
     arrays = {f"prep.{name}": getattr(model.prep, name) for name in _PREP_FIELDS}
-    for role, net in (("encoders", model.encoders), ("decoders", model.decoders)):
-        for v in range(model.n_views):
-            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-                arrays[f"{role}.{v}.weights.{k}"] = w[v]
-                arrays[f"{role}.{v}.biases.{k}"] = b[v]
-    _write_archive(path, meta, arrays)
-
-
-def _numbered(arrays: dict, prefix: str) -> list:
-    """``arrays["<prefix>.0"]``, ``arrays["<prefix>.1"]``, ... up to the first gap."""
-    found = []
-    while f"{prefix}.{len(found)}" in arrays:
-        found.append(arrays[f"{prefix}.{len(found)}"])
-    return found
-
-
-def _check_model_shapes(
-    path, config: IdentifierConfig, grid: TimeGrid, prep: Preprocessing, arrays: dict
-) -> None:
-    """Raise :class:`FileFormatError` unless ``prep`` and every per-view
-    network member of ``arrays`` have the shape that the config, the grid and
-    the state dimension call for."""
-
-    def malformed(what: str) -> FileFormatError:
-        return FileFormatError(f"{path}: malformed model file ({what})")
-
-    if prep.tgt_mean.ndim != 2 or len(prep.tgt_mean) == 0:
-        raise malformed("prep.tgt_mean is not 2-d with a row per view")
-    n_views, d = prep.tgt_mean.shape
-    t_pts = grid.n_points
-    n_feat = int(np.ceil(config.keep_fraction * t_pts)) * d
-    checks = [  # (name, actual shape, expected shape)
-        ("prep.enc_mean", prep.enc_mean.shape, (n_views, n_feat)),
-        ("prep.enc_std", prep.enc_std.shape, (n_views, n_feat)),
-        ("prep.aux_mean", prep.aux_mean.shape, (n_views, config.n_init * d)),
-        ("prep.aux_std", prep.aux_std.shape, (n_views, config.n_init * d)),
-        ("prep.tgt_std", prep.tgt_std.shape, (n_views, d)),
-    ]
-    for role, dims in zip(("encoders", "decoders"), _net_dims(config, n_feat, t_pts, d)):
-        found = 0
-        while f"{role}.{found}.weights.0" in arrays:
-            found += 1
-        if found != n_views:
-            raise malformed(f"{found} {role} for {n_views} views")
-        for v in range(n_views):
-            weights = _numbered(arrays, f"{role}.{v}.weights")
-            biases = _numbered(arrays, f"{role}.{v}.biases")
-            if len(weights) != len(biases):
-                raise malformed(f"{role}[{v}]: weights and biases must pair up")
-            if len(weights) != config.depth:
-                raise malformed(
-                    f"{role}[{v}] has {len(weights)} layers, config depth {config.depth}"
-                )
-            for k, (w, b) in enumerate(zip(weights, biases)):
-                checks.append((f"{role}[{v}].weights[{k}]", w.shape, (dims[k], dims[k + 1])))
-                checks.append((f"{role}[{v}].biases[{k}]", b.shape, (dims[k + 1],)))
-    for name, actual, expected in checks:
-        if tuple(actual) != expected:
-            raise malformed(f"{name} has shape {tuple(actual)}, expected {expected}")
+    _write_archive(path, meta, {**arrays, "params": model.params})
 
 
 def load_identifier(path) -> IdentifierModel:
-    """Read a model written by :func:`save_identifier`."""
+    """Read a model written by :func:`save_identifier`.
+
+    Raises :class:`FileFormatError` naming ``path`` unless the file is an
+    intact schema-3 model archive whose config is well typed and whose
+    ``prep`` rows and ``params`` buffer have the shapes that the config, the
+    grid and the state dimension call for.
+    """
     meta, arrays = _read_archive(path, _MODEL_KIND)
     try:
         get_system(meta["system_id"])  # refuses an id outside the catalog
-        cfg_raw = dict(meta["config"])
-        cfg_raw["block_sizes"] = tuple(cfg_raw["block_sizes"])
-        config = IdentifierConfig(**cfg_raw)
-        grid = _grid_from_record(meta["grid"])
-        prep = Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS})
+        model = IdentifierModel(
+            config=IdentifierConfig(**meta["config"]),
+            system_id=meta["system_id"],
+            shared_param_indices=tuple(meta["shared_param_indices"]),
+            grid=_grid_from_record(meta["grid"]),
+            prep=Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS}),
+            params=arrays["params"],
+        )
+        prep = model.prep
+        if prep.tgt_mean.ndim != 2 or len(prep.tgt_mean) == 0:
+            raise ValueError("prep.tgt_mean is not 2-d with a row per view")
+        n_views, d = prep.tgt_mean.shape
+        n_enc = int(np.ceil(model.config.keep_fraction * model.grid.n_points)) * d
+        n_aux = model.config.n_init * d
+        for name, width in zip(_PREP_FIELDS, (n_enc, n_enc, n_aux, n_aux, d, d)):
+            shape = getattr(prep, name).shape
+            if shape != (n_views, width):
+                raise ValueError(f"prep.{name} has shape {shape}, expected {(n_views, width)}")
+        model.stacks(model.params)  # refuses a buffer that does not fit the layout
     except (LookupError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed model file ({exc})") from exc
-    _check_model_shapes(path, config, grid, prep, arrays)
-    params = np.concatenate([
-        np.stack([arrays[f"{role}.{v}.{kind}.{k}"] for v in range(prep.tgt_mean.shape[0])]).ravel()
-        for role in ("encoders", "decoders")
-        for k in range(config.depth)
-        for kind in ("weights", "biases")
-    ])
-    return IdentifierModel(
-        config=config,
-        system_id=meta["system_id"],
-        shared_param_indices=tuple(meta["shared_param_indices"]),
-        grid=grid,
-        prep=prep,
-        params=params,
-    )
+    return model
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from dynident.cli import (
 from dynident.atomic import atomic_open
 from dynident.errors import ConfigError
 from dynident.estimators import EstimateReport
-from dynident.multiview import _read_archive, _write_archive
+from dynident.multiview import _read_archive, _write_archive, load_identifier
 from dynident.solver import load_trajectories
 
 
@@ -341,6 +341,29 @@ def test_eval_rejects_mismatched_model_and_data(tmp_path, capsys):
                "--report", str(tmp_path / "e.csv")])
     assert rc == 1
     assert "ode31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_flags, data_grid", [
+    (["--grid-points", "12", "--t-max", "3"], "(0.0, 3.0, 12)"),
+    (["--grid-points", "16", "--t-max", "5"], "(0.0, 5.0, 16)"),
+])
+def test_eval_rejects_data_on_another_grid(tmp_path_factory, capsys, grid_flags, data_grid):
+    """The model's preprocessing is frozen on its training grid; a dataset
+    of the same system on another horizon or with another number of points
+    is refused, naming both grids, before anything is encoded."""
+    files = _pipeline_files(tmp_path_factory)  # trained on (0.0, 5.0, 12)
+    root = tmp_path_factory.mktemp("grid")
+    other = root / "other.npz"
+    assert main(["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "8",
+                 "--seed", "7", *grid_flags, "--out", str(other)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(files["model"]), "--data", str(other),
+               "--report", str(root / "e.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("dynident: config: eval: ")
+    assert "(0.0, 5.0, 12)" in err and data_grid in err
+    assert not (root / "e.csv").exists()
 
 
 def test_eval_refuses_fewer_than_100_pairs_before_any_probe(tmp_path, capsys, monkeypatch):
@@ -745,6 +768,53 @@ def test_unknown_system_id_in_dataset_or_model_exits_2(tmp_path_factory, capsys)
         assert err.count("\n") == 1
         assert err.startswith(f"dynident: io: {path}: ") and "'nope'" in err
     assert not (root / "m.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("depth", 2.0), ("hidden_dim", 8.0), ("shared_block", 0.0),
+                   ("block_sizes", [2.0, 2.0])],
+)
+def test_model_config_of_the_wrong_type_exits_2_naming_the_key(
+    tmp_path_factory, capsys, key, value
+):
+    """A float where the model's config holds an int is refused on load, not
+    truncated and not left to fail inside the arithmetic."""
+    files = _pipeline_files(tmp_path_factory)
+    meta, arrays = _read_archive(files["model"], "multiview-model")
+    meta["config"][key] = value
+    model = tmp_path_factory.mktemp("typed") / "model.npz"
+    _write_archive(model, meta, arrays)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
+               "--report", str(model.with_name("e.csv"))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"dynident: io: {model}: malformed model file ({key}: must be ")
+
+
+def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, capsys):
+    """A model file of schema 2 stored every view's layers as their own
+    members; it is refused with one line, not read through a second loader."""
+    files = _pipeline_files(tmp_path_factory)
+    meta, arrays = _read_archive(files["model"], "multiview-model")
+    m = load_identifier(files["model"])
+    per_layer = {name: a for name, a in arrays.items() if name.startswith("prep.")}
+    for role, net in (("encoders", m.encoders), ("decoders", m.decoders)):
+        for v in range(m.n_views):
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                per_layer[f"{role}.{v}.weights.{k}"] = w[v]
+                per_layer[f"{role}.{v}.biases.{k}"] = b[v]
+    model = tmp_path_factory.mktemp("schema2") / "model.npz"
+    _write_archive(model, {**meta, "schema_version": 2}, per_layer)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
+               "--report", str(model.with_name("e.csv"))])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"dynident: io: {model}: schema_version 2, expected 3; schema 2 model files are "
+        "no longer read; retrain with train-mv\n"
+    )
 
 
 def test_synth_mv_with_the_same_seed_writes_identical_bytes(tmp_path):

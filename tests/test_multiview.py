@@ -688,18 +688,20 @@ def test_checkpoint_with_a_short_preprocessing_row_is_rejected(tmp_path):
         load_identifier(path)
 
 
-def test_checkpoint_whose_views_differ_in_shape_is_rejected(tmp_path):
-    """Widening view 1's hidden layer alone gives a model every tensor of
-    which is well formed, but whose views no longer stack."""
+@pytest.mark.parametrize(
+    "edit", [lambda p: p[:-1], lambda p: np.append(p, 0.0)], ids=["short", "long"]
+)
+def test_checkpoint_whose_params_do_not_fit_is_rejected(tmp_path, edit):
+    """A ``params`` member one element short or long does not fit the layout
+    that the config, grid and preprocessing call for."""
 
-    def widen_view_1(arrays):
-        arrays["decoders.1.weights.0"] = np.pad(arrays["decoders.1.weights.0"], ((0, 0), (0, 1)))
-        arrays["decoders.1.biases.0"] = np.append(arrays["decoders.1.biases.0"], 0.0)
-        arrays["decoders.1.weights.1"] = np.pad(arrays["decoders.1.weights.1"], ((0, 1), (0, 0)))
+    def edit_params(arrays):
+        arrays["params"] = edit(arrays["params"])
 
-    path = _edited_checkpoint(tmp_path, widen_view_1)
-    with pytest.raises(FileFormatError, match=r"decoders\[1\]\.weights\[0\] has shape"):
+    path = _edited_checkpoint(tmp_path, edit_params)
+    with pytest.raises(FileFormatError, match=r"shape \(\d+,\).* params of \(\d+,\)") as err:
         load_identifier(path)
+    assert str(path) in str(err.value)
 
 
 def test_loss_rejects_a_model_whose_params_disagree_with_its_config():
@@ -880,19 +882,28 @@ def test_archive_refuses_wrong_kind_missing_members_and_wrong_dtypes(tmp_path):
         load_dataset(tmp_path / "idx.npz")
 
     meta, arrays = _read_archive(model, "multiview-model")
-    del arrays["encoders.1.biases.1"]
-    _write_archive(tmp_path / "no-bias.npz", meta, arrays)
-    with pytest.raises(FileFormatError, match="weights and biases must pair up"):
-        load_identifier(tmp_path / "no-bias.npz")
+    del arrays["params"]
+    _write_archive(tmp_path / "no-params.npz", meta, arrays)
+    with pytest.raises(FileFormatError, match=r"missing params\.npy"):
+        load_identifier(tmp_path / "no-params.npz")
 
 
 def test_archive_entries_carry_the_fixed_timestamp(tmp_path):
+    """A dataset holds its three arrays and a model its six preprocessing
+    rows and its one parameter buffer, each entry stored with the fixed
+    timestamp."""
     import zipfile
 
-    path = tmp_path / "pairs.npz"
-    save_dataset(path, _archive_dataset(2))
-    with zipfile.ZipFile(path) as zf:
-        infos = zf.infolist()
-    assert [i.filename for i in infos] == ["meta.json", "states.npy", "thetas.npy", "x0s.npy"]
-    assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
-    assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+    data, model = tmp_path / "pairs.npz", tmp_path / "model.npz"
+    save_dataset(data, _archive_dataset(2))
+    save_identifier(model, build_identifier(_archive_dataset(2), _small_config(hidden_dim=5), seed=2))
+    prep = ["enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std"]
+    for path, members in (
+        (data, ["states", "thetas", "x0s"]),
+        (model, [f"prep.{name}" for name in prep] + ["params"]),
+    ):
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+        assert [i.filename for i in infos] == ["meta.json"] + [f"{m}.npy" for m in members]
+        assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
