@@ -8,6 +8,8 @@ failures because the command line maps them to different exit codes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class DynidentError(Exception):
     """Base class for all toolkit errors."""
@@ -15,6 +17,15 @@ class DynidentError(Exception):
 
 class InvalidArgumentError(DynidentError, ValueError):
     """An argument violates a documented precondition (shape, count, range)."""
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an ``int``; Python and numpy integers pass, while bools,
+    floats (even integral ones) and anything else raise
+    :class:`InvalidArgumentError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 class ConfigError(DynidentError, ValueError):

@@ -53,6 +53,7 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
     TrainingDivergedError,
+    require_int,
 )
 from .seeding import substream
 from .solver import TimeGrid, dct_truncate, integrate_batch
@@ -74,8 +75,9 @@ class PartitionLayout:
     shared_block: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(require_int(s, "block_sizes") for s in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "shared_block", require_int(self.shared_block, "shared_block"))
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise InvalidArgumentError("block_sizes: need at least two blocks of positive size")
         if not 0 <= self.shared_block < len(sizes):
@@ -123,7 +125,9 @@ class MultiviewDataset:
     labels: Optional[np.ndarray] = None  # (n_pairs,) int class ids, when discrete
 
     def __post_init__(self):
-        self.shared_param_indices = tuple(int(i) for i in self.shared_param_indices)
+        self.shared_param_indices = tuple(
+            require_int(i, "shared_param_indices") for i in self.shared_param_indices
+        )
         if self.states.ndim != 4:
             raise InvalidArgumentError("MultiviewDataset: states must be 4-d")
         v, n, t, d = self.states.shape
@@ -190,7 +194,7 @@ def generate_multiview_dataset(
         raise InvalidArgumentError("generate_multiview_dataset: n_pairs must be >= 1")
     if n_views < 2:
         raise InvalidArgumentError("generate_multiview_dataset: need at least 2 views")
-    shared = tuple(sorted(int(i) for i in shared_param_indices))
+    shared = tuple(sorted(require_int(i, "shared_param_indices") for i in shared_param_indices))
     if len(shared) == 0 or len(set(shared)) != len(shared):
         raise InvalidArgumentError("generate_multiview_dataset: bad shared index set")
     if shared[0] < 0 or shared[-1] >= system.param_dim:

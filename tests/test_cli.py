@@ -793,6 +793,40 @@ def test_model_config_of_the_wrong_type_exits_2_naming_the_key(
     assert err.startswith(f"dynident: io: {model}: malformed model file ({key}: must be ")
 
 
+@pytest.mark.parametrize(
+    "role, key, value",
+    [("data", "n_points", 50.7), ("data", "n_points", True), ("data", "n_points", 12.0),
+     ("data", "shared_param_indices", [0.9, 1.7]), ("data", "shared_param_indices", [True, 1]),
+     ("model", "n_points", 50.7), ("model", "n_points", True)],
+)
+def test_non_integer_grid_or_index_in_a_file_exits_2_naming_the_key(
+    tmp_path_factory, capsys, role, key, value
+):
+    """A point count or parameter index that is a bool or a float is refused
+    on load, not truncated to an int."""
+    files = _pipeline_files(tmp_path_factory)
+    kind = {"data": "multiview-dataset", "model": "multiview-model"}[role]
+    meta, arrays = _read_archive(files[role], kind)
+    if key == "n_points":
+        meta["grid"]["n_points"] = value
+    else:
+        meta[key] = value
+    edited = tmp_path_factory.mktemp("ints") / f"{role}.npz"
+    _write_archive(edited, meta, arrays)
+    if role == "data":
+        argv = ["train-mv", "--data", str(edited), "--out", str(edited.with_name("m.npz"))]
+    else:
+        argv = ["eval", "--model", str(edited), "--data", str(files["data"]),
+                "--report", str(edited.with_name("e.csv"))]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"dynident: io: {edited}: malformed ")
+    assert f"{key}: expected an integer, got " in err
+    assert not edited.with_name("m.npz").exists()
+
+
 def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, capsys):
     """A model file of schema 2 stored every view's layers as their own
     members; it is refused with one line, not read through a second loader."""

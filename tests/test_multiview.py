@@ -198,6 +198,31 @@ def test_partition_layout_validation():
         PartitionLayout((4, 4), shared_block=2)
 
 
+@pytest.mark.parametrize(
+    "sizes, shared, key",
+    [((2.7, 2), 0, "block_sizes"), ((2, True), 0, "block_sizes"),
+     ((2, 2), 0.5, "shared_block"), ((2, 2), True, "shared_block")],
+)
+def test_partition_layout_refuses_non_integers(sizes, shared, key):
+    with pytest.raises(InvalidArgumentError, match=f"{key}: expected an integer"):
+        PartitionLayout(sizes, shared_block=shared)
+
+
+def test_partition_layout_accepts_numpy_integers():
+    lay = PartitionLayout(tuple(np.array([3, 2])), shared_block=np.int64(1))
+    assert lay.block_sizes == (3, 2) and type(lay.block_sizes[0]) is int
+    assert lay.shared_block == 1 and type(lay.shared_block) is int
+
+
+@pytest.mark.parametrize("indices", [(0.9, 1.7), (True, 1), (0, 1.0)])
+def test_dataset_refuses_non_integer_shared_indices(indices):
+    data = _identical_view_dataset(n_pairs=2)
+    with pytest.raises(InvalidArgumentError, match="shared_param_indices: expected an integer"):
+        dataclasses.replace(data, shared_param_indices=indices)
+    with pytest.raises(InvalidArgumentError, match="shared_param_indices: expected an integer"):
+        generate_multiview_dataset("ode27", 2, 0, indices, grid_points=5)
+
+
 # ---------------------------------------------------------------------------
 # Dataset generation.
 # ---------------------------------------------------------------------------
