@@ -12,9 +12,8 @@ report    re-render a benchmark CSV as a markdown table
 
 Every file-writing command drops a ``<output>.manifest.json`` next to its
 outputs recording the effective configuration, catalog version, per-stage
-seeds, thread count, wall time and sha256 digests of everything written.
-Reruns with the same flags reproduce outputs byte-for-byte; ``--threads``
-(or ``DYNIDENT_THREADS``) is only recorded, as everything runs on one thread.
+seeds, wall time and sha256 digests of everything written.  Reruns with the
+same flags reproduce outputs byte-for-byte.
 
 Each subcommand's flags are generated from its schema in ``_SCHEMAS``, so a
 value is checked once whether it comes from a flag or a ``--config`` file.
@@ -228,10 +227,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(cfg: RunConfig, outputs, seeds: dict, threads: int,
-                   wall_time_s: float) -> str:
+def write_manifest(cfg: RunConfig, outputs, seeds: dict, wall_time_s: float) -> str:
     """Write ``<outputs[0]>.manifest.json``: the effective config, the seeds,
-    the thread count, the wall time and the sha256 of every output."""
+    the wall time and the sha256 of every output."""
     config = {"schema_version": SCHEMA_VERSION}
     for key, value in cfg.values.items():
         config[key] = list(value) if isinstance(value, tuple) else value
@@ -241,7 +239,6 @@ def write_manifest(cfg: RunConfig, outputs, seeds: dict, threads: int,
         "catalog_version": CATALOG_VERSION,
         "config": config,
         "seeds": seeds,
-        "threads": threads,
         "wall_time_s": wall_time_s,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
@@ -643,8 +640,6 @@ def _build_parser() -> _Parser:
     for command, schema in _SCHEMAS.items():
         # Subparsers inherit _Parser, so their errors raise _UsageError too.
         p = sub.add_parser(command, help=_HANDLERS[command].__doc__)
-        p.add_argument("--threads", type=int,
-                       help="recorded in the manifest (default: DYNIDENT_THREADS or 1)")
         p.add_argument("--config", metavar="FILE",
                        help="JSON config file; flags override its values")
         if command == "systems":
@@ -661,51 +656,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        threads = flag_value
-    else:
-        raw = os.environ.get("DYNIDENT_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"threads: DYNIDENT_THREADS is not an integer: {raw!r}")
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
-    return threads
-
-
 def _error_line(kind: str, exc) -> None:
     message = " ".join(str(exc).split())
     print(f"dynident: {kind}: {message}", file=sys.stderr)
 
 
-def parse_argv(argv=None) -> tuple[RunConfig, int]:
-    """Resolve a command line to its checked config and thread count.
+def parse_argv(argv=None) -> RunConfig:
+    """Resolve a command line to its checked config.
 
     Flags override the ``--config`` file, which overrides the defaults.
     train-mv's model keys are checked by building an
     :class:`IdentifierConfig`, before any input file is opened.
     """
     namespace = _build_parser().parse_args(argv)
-    threads = _resolve_threads(namespace.threads)
     schema = _SCHEMAS[namespace.command]
     overrides = {k: v for k, v in vars(namespace).items() if k in schema}
     cfg = parse_config(namespace.command, schema, file_path=namespace.config,
                        overrides=overrides)
     if cfg.command == "train-mv":
         _identifier_config(cfg)
-    return cfg, threads
+    return cfg
 
 
 def main(argv=None) -> int:
     try:
-        cfg, threads = parse_argv(argv)
+        cfg = parse_argv(argv)
         t_start = time.perf_counter()
         written = _HANDLERS[cfg.command](cfg)
         if written is not None:
             outputs, seeds = written
-            write_manifest(cfg, outputs, seeds, threads, time.perf_counter() - t_start)
+            write_manifest(cfg, outputs, seeds, time.perf_counter() - t_start)
         return 0
     except _UsageError as exc:
         print(_build_parser().format_usage(), end="", file=sys.stderr)

@@ -9,9 +9,11 @@ Three routes, in increasing generality and cost:
   robust whenever derivatives are available or can be estimated.
 * ``fit_trajectory_matching`` — Levenberg-Marquardt on the residual
   F(theta) - x (re-integrating the candidate parameters each evaluation),
-  projected into the parameter box, with a Nelder-Mead fallback when LM
-  stalls.  The objective attains exactly zero at the generating parameters
-  when evaluated on a trajectory produced by the same integrator settings.
+  projected into the parameter box.  It starts once, from derivative
+  matching's estimate: gradient matching, then trajectory matching (Varah
+  1982; Ramsay et al. 2007).  The objective attains exactly zero at the
+  generating parameters when evaluated on a trajectory produced by the same
+  integrator settings.
 
 There is one Levenberg-Marquardt implementation, a generator that yields
 each point it needs residuals at together with the point's forward-difference
@@ -24,8 +26,8 @@ applied to a batch of one.
 parameters uniformly from the box, simulate, estimate, and report the mean
 and standard deviation of ||theta_hat - theta||_2 / sqrt(N) per system.
 Trajectory matching runs every draw of a system in lockstep, one
-``integrate_batch`` call per round; chaotic systems add restarts, all draws
-taking start j together until each is good enough.
+``integrate_batch`` call per round, each draw from its own
+derivative-matching start.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401 -- unused; benchmarks/layers.py patches it
 
 from .errors import (
     EstimationFailureError,
@@ -54,9 +56,6 @@ METHODS = (METHOD_CLOSED, METHOD_DERIV, METHOD_TRAJ)
 
 #: Gram matrices with a condition number beyond this are refused.
 _COND_LIMIT = 1e12
-
-#: Restarts used for chaotic systems in the benchmark protocol.
-_CHAOTIC_RESTARTS = 5
 
 
 @dataclass
@@ -211,15 +210,11 @@ def _run_lockstep(
 # ---------------------------------------------------------------------------
 
 
-def _check_trajectory(system: OdeSystem, trajectory: Trajectory, min_points: int = 2) -> None:
+def _check_trajectory(system: OdeSystem, trajectory: Trajectory) -> None:
     if trajectory.states.shape[1] != system.state_dim:
         raise InvalidArgumentError(
             f"trajectory state dimension {trajectory.states.shape[1]} does not match "
             f"{system.id} (d = {system.state_dim})"
-        )
-    if trajectory.grid.n_points < min_points:
-        raise InvalidArgumentError(
-            f"need at least {min_points} grid points, got {trajectory.grid.n_points}"
         )
 
 
@@ -301,21 +296,24 @@ def fit_derivative_matching(
     return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
 
 
-class _NoFeasiblePoint(Exception):
-    """Nelder-Mead has found no feasible point and can no longer move."""
+def _trajectory_start(
+    system: OdeSystem, trajectory: Trajectory, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Where trajectory matching starts: derivative matching's estimate,
+    clipped into the box [lo, hi].
 
-
-def _blind_nelder_mead_budget(simplex: np.ndarray, xatol: float) -> int:
-    """Evaluations after which a Nelder-Mead search that has seen only
-    infinite values, from its initial ``simplex`` on, lies within ``xatol``.
-
-    With every value infinite no comparison succeeds, so each iteration
-    evaluates a reflection and an inside contraction, then halves the
-    simplex toward its best vertex and evaluates the N others there.
+    Derivative matching uses the trajectory's own ``derivs`` when it has
+    them and finite differences when it does not.  When neither is possible
+    (no ``derivs``, and a non-uniform grid or fewer than 3 points) the start
+    is the box midpoint.
     """
-    spread = float(np.ptp(simplex, axis=0).max())
-    halvings = int(np.ceil(np.log2(spread / xatol))) if spread > xatol else 0
-    return len(simplex) + halvings * (len(simplex) + 1)
+    midpoint = 0.5 * (lo + hi)
+    try:
+        derivs = _target_derivatives(trajectory, None)
+    except InvalidArgumentError:
+        return midpoint
+    fit = fit_derivative_matching(system, trajectory, theta0=midpoint, derivs=derivs)
+    return np.clip(fit.theta_hat, lo, hi)
 
 
 def _fit_trajectories(
@@ -330,14 +328,15 @@ def _fit_trajectories(
 ) -> list[Optional[FitResult]]:
     """Trajectory matching of several trajectories on one grid, in lockstep.
 
-    One Levenberg-Marquardt solver per trajectory; every round integrates
-    the pending blocks of all of them in a single :func:`integrate_batch`
-    call, each row from its own trajectory's first state.  Rows never mix,
-    so each fit is exactly what it would be alone.  Solvers that stall fall
-    back to Nelder-Mead one at a time; Nelder-Mead gives up once it has
-    found no feasible point and its simplex has shrunk within its ``xatol``.
-    A fit with no feasible evaluation comes back as None.
+    One Levenberg-Marquardt solver per trajectory, projected into the box
+    and run once from its start; every round integrates the pending blocks
+    of all of them in a single :func:`integrate_batch` call, each row from
+    its own trajectory's first state.  Rows never mix, so each fit is
+    exactly what it would be alone.  A fit whose start diverges comes back
+    as None.
     """
+    if not trajectories:
+        return []
     grid = trajectories[0].grid
     obs_flat = [t.states.reshape(-1) for t in trajectories]
     x0s = np.stack([t.states[0] for t in trajectories])
@@ -360,47 +359,10 @@ def _fit_trajectories(
         return out
 
     solvers = [_levenberg_marquardt(s, project=project, max_iter=max_iter) for s in starts]
-    n_vertices, xatol = lo.size + 1, 1e-10
-    fits = []
-    for i, (theta_hat, loss, iters, converged) in enumerate(_run_lockstep(solvers, evaluate)):
-        if not converged:
-            infeasible = []  # the points evaluated before any feasible one
-            found = []  # holds True once a point was feasible
-
-            def objective(theta, i=i, infeasible=infeasible, found=found):
-                theta = np.array(theta, dtype=float)
-                r = evaluate([i], [theta[None, :]])[0][0]
-                if r is not None:
-                    found[:] = [True]
-                    return float(r @ r)
-                if not found:
-                    infeasible.append(theta)
-                    n = len(infeasible)
-                    if n >= n_vertices and n == _blind_nelder_mead_budget(
-                        np.stack(infeasible[:n_vertices]), xatol
-                    ):
-                        raise _NoFeasiblePoint
-                return np.inf
-
-            try:
-                nm = minimize(
-                    objective,
-                    project(theta_hat if np.isfinite(loss) else starts[i]),
-                    method="Nelder-Mead",
-                    bounds=list(zip(lo, hi)),
-                    options={"maxiter": 2000, "xatol": xatol, "fatol": 1e-16, "adaptive": False},
-                )
-            except _NoFeasiblePoint:
-                nm = None
-            if nm is not None and np.isfinite(nm.fun) and nm.fun < loss:
-                theta_hat = project(np.asarray(nm.x, dtype=float))
-                loss = float(nm.fun)
-                converged = bool(nm.success)
-                iters += int(nm.nit)
-        fits.append(
-            FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged) if np.isfinite(loss) else None
-        )
-    return fits
+    return [
+        FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged) if np.isfinite(loss) else None
+        for theta_hat, loss, iters, converged in _run_lockstep(solvers, evaluate)
+    ]
 
 
 def fit_trajectory_matching(
@@ -415,23 +377,27 @@ def fit_trajectory_matching(
 
     Minimizes ||F(theta) - x||^2 over the parameter box, where F integrates
     the candidate parameters from the trajectory's first state over its own
-    grid.  Levenberg-Marquardt (projected into the box) runs first; if it
-    stalls, Nelder-Mead with box projection takes over and the better of the
-    two results is returned.  Candidates whose integration diverges are
-    treated as infeasible; if no start yields a single feasible evaluation an
+    grid.  Levenberg-Marquardt, projected into the box, runs once from
+    ``theta0``; by default from derivative matching's estimate clipped into
+    the box, or from the box midpoint when the trajectory has no ``derivs``
+    and finite differences cannot be taken.  Candidates whose integration
+    diverges are rejected; if the start itself diverges an
     :class:`EstimationFailureError` is raised.
     """
     _check_trajectory(system, trajectory)
     lo, hi = param_box if param_box is not None else (system.param_lo, system.param_hi)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    start = 0.5 * (lo + hi) if theta0 is None else np.asarray(theta0, dtype=float)
+    if theta0 is None:
+        start = _trajectory_start(system, trajectory, lo, hi)
+    else:
+        start = np.asarray(theta0, dtype=float)
     [fit] = _fit_trajectories(
         system, [trajectory], [start], lo, hi, h_int=h_int, max_iter=max_iter
     )
     if fit is None:
         raise EstimationFailureError(
-            f"{system.id}: every candidate integration diverged; no estimate available"
+            f"{system.id}: the start's integration diverged; no estimate available"
         )
     return fit
 
@@ -439,45 +405,6 @@ def fit_trajectory_matching(
 # ---------------------------------------------------------------------------
 # Sampled-draw benchmark.
 # ---------------------------------------------------------------------------
-
-
-def _benchmark_trajectory_fits(
-    system: OdeSystem,
-    trajectories: dict[int, Trajectory],
-    seed: int,
-    n_starts: int = _CHAOTIC_RESTARTS,
-) -> dict[int, Optional[FitResult]]:
-    """Trajectory matching of every draw, keyed by draw index, in lockstep.
-
-    Non-chaotic systems start from the box midpoint.  Chaotic ones add
-    uniform restarts: all draws run start j together, and only the draws
-    whose best loss is still above ``good_enough`` go on to start j + 1.
-    """
-    lo, hi = system.param_lo, system.param_hi
-    if not system.chaotic:
-        n_starts = 1
-    starts = {}
-    for i in trajectories:
-        rng = substream(seed, "multistart", system.id, i)
-        starts[i] = [system.param_midpoint] + [
-            lo + rng.random(system.param_dim) * (hi - lo) for _ in range(n_starts - 1)
-        ]
-    good_enough = {
-        i: 1e-10 * (1.0 + float(np.sum(t.states**2))) for i, t in trajectories.items()
-    }
-    best: dict[int, Optional[FitResult]] = {i: None for i in trajectories}
-    active = list(trajectories)
-    for j in range(n_starts):
-        if not active:
-            break
-        fits = _fit_trajectories(
-            system, [trajectories[i] for i in active], [starts[i][j] for i in active], lo, hi
-        )
-        for i, fit in zip(active, fits):
-            if fit is not None and (best[i] is None or fit.loss_final < best[i].loss_final):
-                best[i] = fit
-        active = [i for i in active if best[i] is None or best[i].loss_final > good_enough[i]]
-    return best
 
 
 def benchmark_rmse(
@@ -542,9 +469,11 @@ def benchmark_rmse(
             return float(np.linalg.norm(fit.theta_hat - thetas[i]) / np.sqrt(system.param_dim))
 
         if method == METHOD_TRAJ:
-            fits = _benchmark_trajectory_fits(
-                system, {i: trajectory(i) for i in range(n_draws) if ok[i]}, seed
-            )
+            simulable = [i for i in range(n_draws) if ok[i]]
+            trajs = [trajectory(i) for i in simulable]
+            lo, hi = system.param_lo, system.param_hi
+            starts = [_trajectory_start(system, t, lo, hi) for t in trajs]
+            fits = dict(zip(simulable, _fit_trajectories(system, trajs, starts, lo, hi)))
             results = [rmse(i, fits.get(i)) for i in range(n_draws)]
         else:
             fit_fn = fit_closed_form if method == METHOD_CLOSED else fit_derivative_matching

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .seeding import substream
 from .solver import TimeGrid, dct_truncate, integrate_batch
-from .systems import get_system
+from .systems import OdeSystem, get_system
 
 _STD_FLOOR = 1e-8
 
@@ -165,6 +165,25 @@ class MultiviewDataset:
         return self.thetas[view][:, keep]
 
 
+def _shared_index_set(indices, system: OdeSystem, where: str) -> tuple:
+    """S as a sorted tuple: non-empty, distinct integers in range for
+    ``system``, and not every parameter; else :class:`InvalidArgumentError`."""
+    shared = tuple(sorted(require_int(i, "shared_param_indices") for i in indices))
+    if len(shared) == 0 or len(set(shared)) != len(shared):
+        raise InvalidArgumentError(f"{where}: bad shared index set")
+    if shared[0] < 0 or shared[-1] >= system.param_dim:
+        raise InvalidArgumentError(
+            f"{where}: shared index out of range "
+            f"for {system.id} with {system.param_dim} parameters"
+        )
+    if len(shared) == system.param_dim:
+        raise InvalidArgumentError(
+            f"{where}: S covers every parameter — views would "
+            "be copies with nothing view-specific to disentangle"
+        )
+    return shared
+
+
 def generate_multiview_dataset(
     system_id: str,
     n_pairs: int,
@@ -194,19 +213,7 @@ def generate_multiview_dataset(
         raise InvalidArgumentError("generate_multiview_dataset: n_pairs must be >= 1")
     if n_views < 2:
         raise InvalidArgumentError("generate_multiview_dataset: need at least 2 views")
-    shared = tuple(sorted(require_int(i, "shared_param_indices") for i in shared_param_indices))
-    if len(shared) == 0 or len(set(shared)) != len(shared):
-        raise InvalidArgumentError("generate_multiview_dataset: bad shared index set")
-    if shared[0] < 0 or shared[-1] >= system.param_dim:
-        raise InvalidArgumentError(
-            "generate_multiview_dataset: shared index out of range "
-            f"for {system_id} with {system.param_dim} parameters"
-        )
-    if len(shared) == system.param_dim:
-        raise InvalidArgumentError(
-            "generate_multiview_dataset: S covers every parameter — views would "
-            "be copies with nothing view-specific to disentangle"
-        )
+    shared = _shared_index_set(shared_param_indices, system, "generate_multiview_dataset")
     if not 0.0 <= x0_jitter < 1.0:
         raise InvalidArgumentError("generate_multiview_dataset: x0_jitter must be in [0, 1)")
 
@@ -1166,17 +1173,21 @@ def load_identifier(path) -> IdentifierModel:
     """Read a model written by :func:`save_identifier`.
 
     Raises :class:`FileFormatError` naming ``path`` unless the file is an
-    intact schema-3 model archive whose config is well typed and whose
-    ``prep`` rows and ``params`` buffer have the shapes that the config, the
-    grid and the state dimension call for.
+    intact schema-3 model archive whose config is well typed, whose
+    ``shared_param_indices`` pass the checks of
+    :func:`generate_multiview_dataset` for its system, and whose ``prep``
+    rows and ``params`` buffer have the shapes that the config, the grid and
+    the state dimension call for.
     """
     meta, arrays = _read_archive(path, _MODEL_KIND)
     try:
-        get_system(meta["system_id"])  # refuses an id outside the catalog
+        system = get_system(meta["system_id"])  # refuses an id outside the catalog
         model = IdentifierModel(
             config=IdentifierConfig(**meta["config"]),
             system_id=meta["system_id"],
-            shared_param_indices=tuple(meta["shared_param_indices"]),
+            shared_param_indices=_shared_index_set(
+                meta["shared_param_indices"], system, "shared_param_indices"
+            ),
             grid=_grid_from_record(meta["grid"]),
             prep=Preprocessing(**{name: arrays[f"prep.{name}"] for name in _PREP_FIELDS}),
             params=arrays["params"],

@@ -56,9 +56,6 @@ class OdeSystem:
         Declares the field linear in theta, so that
         ``field(theta, x) == sum_i theta_i * field(e_i, x)`` and the
         closed-form estimator applies.
-    chaotic : bool
-        Flags systems benchmarked in a narrow band around a chaotic
-        configuration (multi-start estimation, +/-5% box).
 
     The dimensions are read off the arrays: ``state_dim`` (d) is the length
     of ``x0`` and ``param_dim`` (N) that of ``param_lo``.
@@ -72,7 +69,6 @@ class OdeSystem:
     x0: np.ndarray
     t_max: float
     linear: bool = False
-    chaotic: bool = False
 
     def __post_init__(self):
         self.param_lo = np.asarray(self.param_lo, dtype=float)
@@ -221,11 +217,11 @@ def _cartpole(theta, x):
 CATALOG: dict[str, OdeSystem] = {}
 
 
-def _register(id, name, field, canonical, x0, t_max, *, spread=(0.5, 2.0), **flags):
+def _register(id, name, field, canonical, x0, t_max, *, spread=(0.5, 2.0), linear=False):
     """Add a system whose box spans ``canonical`` scaled by ``spread``."""
     canonical = np.asarray(canonical, dtype=float)
     CATALOG[id] = OdeSystem(
-        id, name, field, canonical * spread[0], canonical * spread[1], x0, t_max, **flags
+        id, name, field, canonical * spread[0], canonical * spread[1], x0, t_max, linear
     )
 
 
@@ -251,7 +247,7 @@ _register("ode31", "SIR infection dynamics", _sir, [2.0, 1.0], [0.99, 0.01], 10.
 _register("ode50", "Schnakenberg chemical oscillator", _schnakenberg, [0.1, 0.9], [1.0, 1.0], 20.0)
 _register(
     "ode56", "Lorenz attractor", _lorenz, [10.0, 28.0, 8.0 / 3.0], [1.0, 1.0, 1.0], 2.0,
-    spread=(0.95, 1.05), chaotic=True,
+    spread=(0.95, 1.05),
 )
 _register(
     "ode63", "SEIR infection dynamics", _seir, [0.5, 1.5, 0.5], [0.97, 0.02, 0.01, 0.0], 15.0,

@@ -96,7 +96,7 @@ def test_derivative_matching_benchmark_rows():
 
 
 # ---------------------------------------------------------------------------
-# 2. Chaotic system with multi-start trajectory matching.
+# 2. Chaotic system, trajectory matching.
 # ---------------------------------------------------------------------------
 
 
@@ -109,7 +109,7 @@ def test_chaotic_multistart_trajectory_matching():
         f"Lorenz [0,2], {n_draws} draws: rmse_mean {rep.rmse_mean:.3g} "
         f"(bar 0.5), failures {rep.n_failures}/{n_draws} (bar 20%)"
     )
-    assert _verdict("chaotic multi-start trajectory matching", ok, detail), detail
+    assert _verdict("chaotic trajectory matching", ok, detail), detail
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def _run_pipeline(root):
          "--grid-points", "40", "--out", str(sim)],
     ]
     for step in steps:
-        assert cli_main(step + ["--threads", "1"]) == 0, step[0]
+        assert cli_main(step) == 0, step[0]
     return sorted(p for p in root.iterdir() if p.is_file())
 
 
@@ -412,7 +412,7 @@ def test_cli_pipeline_rerun_is_byte_identical(tmp_path):
         else:
             ok = ok and first[name] == second[name]
     detail = (
-        f"6-stage pipeline rerun at --threads 1: {len(first)} artifacts compared, "
+        f"6-stage pipeline rerun: {len(first)} artifacts compared, "
         f"all byte-identical (manifest wall time aside)"
     )
     assert _verdict("CLI end-to-end determinism", ok, detail), detail

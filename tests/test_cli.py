@@ -222,8 +222,7 @@ def test_simulate_writes_trajectories_and_manifest(tmp_path):
 
 
 def test_bench_rerun_is_byte_identical(tmp_path):
-    args = ["bench", "--systems", "ode2,ode31", "--draws", "4", "--seed", "1",
-            "--threads", "1"]
+    args = ["bench", "--systems", "ode2,ode31", "--draws", "4", "--seed", "1"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
@@ -238,6 +237,7 @@ def test_bench_rerun_is_byte_identical(tmp_path):
     man_a = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     man_b = json.loads((tmp_path / "b.csv.manifest.json").read_text())
     assert man_a["outputs"]["a.csv"] == man_b["outputs"]["b.csv"]
+    assert "threads" not in man_a
     assert man_a["outputs"]["a.csv"] == _sha256(a)
 
 
@@ -396,7 +396,7 @@ def test_eval_refuses_fewer_than_100_pairs_before_any_probe(tmp_path, capsys, mo
 
 
 # ---------------------------------------------------------------------------
-# Exit codes, errors, threads.
+# Exit codes and errors.
 # ---------------------------------------------------------------------------
 
 
@@ -502,12 +502,10 @@ def test_empty_list_config_value_exits_1_naming_the_key(tmp_path, command, key, 
 # declares them; a flag without a type yields strings.
 _CLI_SURFACE = {
     "systems": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         ((), "action", str),
     ],
     "simulate": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--system",), "system", str),
         (("--draws",), "draws", int),
@@ -519,7 +517,6 @@ _CLI_SURFACE = {
         (("--out",), "out", str),
     ],
     "bench": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--systems",), "systems", str),
         (("--draws",), "draws", int),
@@ -530,7 +527,6 @@ _CLI_SURFACE = {
         (("--out",), "out", str),
     ],
     "synth-mv": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--system",), "system", str),
         (("--shared",), "shared", str),
@@ -544,7 +540,6 @@ _CLI_SURFACE = {
         (("--out",), "out", str),
     ],
     "train-mv": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--data",), "data", str),
         (("--out",), "out", str),
@@ -563,7 +558,6 @@ _CLI_SURFACE = {
         (("--epochs",), "epochs", int),
     ],
     "eval": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--model",), "model", str),
         (("--data",), "data", str),
@@ -571,7 +565,6 @@ _CLI_SURFACE = {
         (("--seed",), "seed", int),
     ],
     "report": [
-        (("--threads",), "threads", int),
         (("--config",), "config", str),
         (("--in",), "input", str),
         (("--out",), "out", str),
@@ -827,6 +820,32 @@ def test_non_integer_grid_or_index_in_a_file_exits_2_naming_the_key(
     assert not edited.with_name("m.npz").exists()
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [([0.9, 7, "x"], "shared_param_indices: expected an integer, got 0.9"),
+     ("x", "shared_param_indices: expected an integer, got 'x'"),
+     ([], "shared_param_indices: bad shared index set"),
+     ([1, 1], "shared_param_indices: bad shared index set"),
+     ([0, 7], "shared_param_indices: shared index out of range for ode27 with 4 parameters"),
+     ([0, 1, 2, 3], "shared_param_indices: S covers every parameter")],
+)
+def test_bad_shared_indices_in_a_model_exit_2(tmp_path_factory, capsys, value, reason):
+    """A model's S meets the rules that ``synth-mv`` applies to a dataset's."""
+    files = _pipeline_files(tmp_path_factory)
+    meta, arrays = _read_archive(files["model"], "multiview-model")
+    meta["shared_param_indices"] = value
+    model = tmp_path_factory.mktemp("shared") / "model.npz"
+    _write_archive(model, meta, arrays)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
+               "--report", str(model.with_name("e.csv"))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"dynident: io: {model}: malformed model file ({reason}")
+    assert not model.with_name("e.csv").exists()
+
+
 def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, capsys):
     """A model file of schema 2 stored every view's layers as their own
     members; it is refused with one line, not read through a second loader."""
@@ -914,39 +933,17 @@ def test_atomic_open_keeps_the_previous_file_when_a_write_fails(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
 
 
-def test_threads_env_mirror_and_flag(tmp_path, monkeypatch):
-    out = tmp_path / "b.csv"
-    monkeypatch.setenv("DYNIDENT_THREADS", "2")
-    assert main(["bench", "--systems", "ode2", "--draws", "2", "--seed", "0",
-                 "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert manifest["threads"] == 2
-
-    assert main(["bench", "--systems", "ode2", "--draws", "2", "--seed", "0",
-                 "--threads", "3", "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
-    assert manifest["threads"] == 3
-
-
-def test_invalid_threads_exit_1(tmp_path, capsys, monkeypatch):
-    rc = main(["bench", "--systems", "ode2", "--draws", "2", "--threads", "0",
-               "--out", str(tmp_path / "x.csv")])
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    """``--threads`` reached no code and is gone: giving it exits 1."""
+    out = tmp_path / "x.csv"
+    rc = main(["bench", "--systems", "ode2", "--draws", "2", "--threads", "2",
+               "--out", str(out)])
     assert rc == 1
-    assert "threads" in capsys.readouterr().err
-
-    monkeypatch.setenv("DYNIDENT_THREADS", "many")
-    rc = main(["bench", "--systems", "ode2", "--draws", "2",
-               "--out", str(tmp_path / "y.csv")])
-    assert rc == 1
-
-
-def test_bench_threading_agrees_with_sequential(tmp_path):
-    a = tmp_path / "seq.csv"
-    b = tmp_path / "par.csv"
-    base = ["bench", "--systems", "ode2,ode31", "--draws", "6", "--seed", "3"]
-    assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1] == (
+        "dynident: usage: unrecognized arguments: --threads 2"
+    )
+    assert not out.exists()
 
 
 def test_readme_commands_parse():

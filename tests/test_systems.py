@@ -42,7 +42,6 @@ def test_catalog_contents():
     assert len(CATALOG) >= 12
     dims = {s.state_dim for s in CATALOG.values()}
     assert {1, 2, 3, 4} <= dims
-    assert any(s.chaotic for s in CATALOG.values())
 
 
 def test_catalog_boxes_and_x0_shapes():
@@ -255,4 +254,4 @@ def test_custom_system_validation():
 def test_custom_system_dimensions_come_from_x0_and_box():
     s = OdeSystem(id="dims", name="d = 3, N = 2", field=lambda th, x: x,
                   param_lo=[0.0, 1.0], param_hi=[1.0, 2.0], x0=[0.0, 0.0, 0.0], t_max=1.0)
-    assert (s.state_dim, s.param_dim, s.linear, s.chaotic) == (3, 2, False, False)
+    assert (s.state_dim, s.param_dim, s.linear) == (3, 2, False)
