@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateLabelsError, InvalidArgumentError
 from .seeding import substream
@@ -40,6 +41,20 @@ def _as_2d_features(x) -> np.ndarray:
     return x
 
 
+def _positive_finite(name: str, value) -> float:
+    value = float(value)
+    if not (np.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _open_unit(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
 def _standardizer(train: np.ndarray):
     mean = train.mean(axis=0)
     std = np.maximum(train.std(axis=0), _STD_FLOOR)
@@ -47,7 +62,7 @@ def _standardizer(train: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Multinomial logistic regression (plain gradient descent, backtracking lr).
+# Multinomial logistic regression (damped Newton, step halving).
 # ---------------------------------------------------------------------------
 
 
@@ -70,15 +85,18 @@ def logistic_fit(
     labels,
     l2: float = 1e-4,
     max_iter: int = 500,
-    lr0: float = 1.0,
 ) -> LogisticModel:
     """Multinomial logistic regression on standardized features.
 
-    Full-batch gradient descent from zero weights; the step size halves
-    whenever a step would increase the penalized mean log-loss, so the loss
-    sequence is non-increasing and the fit is deterministic.  The bias row
-    is not penalized.
+    Minimizes the mean log-loss plus ``l2 * ||W[:-1]||^2`` (the bias row is
+    not penalized) by damped Newton steps from zero weights.  Each step is
+    halved until the penalized loss does not increase, so the loss sequence
+    is non-increasing and the fit is deterministic.  The fit stops when the
+    Newton decrement or the gain becomes negligible; ``max_iter`` only caps
+    a fit that does neither.  ``l2`` must be finite and positive: it makes
+    the optimum unique even when the classes are separable.
     """
+    l2 = _positive_finite("l2", l2)
     x = _as_2d_features(features)
     y = np.asarray(labels)
     if y.shape != (x.shape[0],):
@@ -94,6 +112,15 @@ def logistic_fit(
     k = classes.size
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y_idx] = 1.0
+    # The Hessian is ordered class-major: entry (c, f) is W[f, c].  The loss
+    # does not change when one constant is added to every class bias, so
+    # the Hessian is singular along that direction.  A ones block on the
+    # bias entries removes the singularity without changing the step, which
+    # is orthogonal to that direction like the gradient; the class biases
+    # keep summing to 0.
+    curvature = np.diag(np.tile(np.r_[np.full(fp1 - 1, 2.0 * l2), 0.0], k))
+    bias = np.arange(k) * fp1 + fp1 - 1
+    curvature[np.ix_(bias, bias)] += 1.0
 
     w = np.zeros((fp1, k))
 
@@ -104,21 +131,30 @@ def logistic_fit(
         return nll + l2 * np.sum(wm[:-1] ** 2), p
 
     loss, p = loss_of(w)
-    lr = float(lr0)
     for _ in range(max_iter):
         grad = xs.T @ (p - onehot) / n
         grad[:-1] += 2.0 * l2 * w[:-1]
+        # Block (c, e) of the Hessian weighs row i by p_ic (delta_ce - p_ie).
+        hess = np.block(
+            [[xs.T @ (xs * (p[:, [c]] * ((c == e) - p[:, [e]]))) for e in range(k)]
+             for c in range(k)]
+        ) / n + curvature
+        step = np.linalg.solve(hess, -grad.T.ravel()).reshape(k, fp1).T
+        # Half the Newton decrement estimates the loss still to be gained.
+        if -0.5 * np.sum(grad * step) <= 1e-16 * (1.0 + loss):
+            break
+        t = 1.0
         while True:
-            w_new = w - lr * grad
+            w_new = w + t * step
             loss_new, p_new = loss_of(w_new)
-            if loss_new <= loss or lr < 1e-12:
+            if loss_new <= loss or t < 1e-12:
                 break
-            lr *= 0.5
-        if lr < 1e-12:
+            t *= 0.5
+        if t < 1e-12:
             break
         # The accepted step's probabilities are the next gradient's.
         w, p, gain, loss = w_new, p_new, loss - loss_new, loss_new
-        if gain < 1e-10 * (1.0 + abs(loss)):
+        if gain <= 1e-16 * (1.0 + loss):
             break
     return LogisticModel(classes=classes, weights=w, feat_mean=mean, feat_std=std)
 
@@ -154,6 +190,7 @@ def partition_accuracy(features, labels, seed: int, test_fraction: float = 0.2) 
     A single-class target is trivially predictable: the probe returns 1.0
     and warns rather than failing, so callers can still rank degenerate runs.
     """
+    test_fraction = _open_unit("test_fraction", test_fraction)
     x = _as_2d_features(features)
     y = np.asarray(labels)
     if y.shape != (x.shape[0],):
@@ -202,11 +239,15 @@ def latent_r2(
 
     The bandwidth follows the median heuristic — twice the median pairwise
     squared distance between (standardized) training rows — and the ridge
-    term is ``ridge * I`` on the kernel matrix.  Multi-column targets are
-    scored per column and averaged.
+    term is ``ridge * I`` on the kernel matrix, which keeps that matrix
+    positive definite, so the system is solved by Cholesky; ``ridge`` must be
+    finite and > 0, and ``train_fraction`` must lie in (0, 1).  Multi-column
+    targets are scored per column and averaged.
     R^2 is computed against the held-out mean, so a useless probe scores
     around zero (possibly below) and a perfect one scores 1.
     """
+    train_fraction = _open_unit("train_fraction", train_fraction)
+    ridge = _positive_finite("ridge", ridge)
     x = _as_2d_features(features)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
@@ -222,11 +263,13 @@ def latent_r2(
     np.maximum(d_tr, 0.0, out=d_tr)
     # k(a, b) = exp(-||a-b||^2 / (2 * median ||a-b||^2)), the classic form.
     bandwidth = max(2.0 * float(np.median(d_tr)), 1e-12)
-    k_tr = np.exp(-d_tr / bandwidth)
+    # The kernel overwrites the distances: d_tr is not needed again.
+    k_tr = np.exp(np.divide(d_tr, -bandwidth, out=d_tr), out=d_tr)
     k_tr[np.diag_indices_from(k_tr)] += ridge
 
     y_mean = y[tr].mean(axis=0)
-    alpha = np.linalg.solve(k_tr, y[tr] - y_mean)
+    factor = cho_factor(k_tr, overwrite_a=True, check_finite=False)
+    alpha = cho_solve(factor, y[tr] - y_mean, check_finite=False)
 
     sq_te = np.sum(xte**2, axis=1)
     d_te = sq_te[:, None] + sq_tr[None, :] - 2.0 * (xte @ xtr.T)
@@ -282,6 +325,9 @@ def aipw_ate(
     clipped to ``clip``; if more than 20% of rows get clipped, a positivity
     warning is recorded on the result and emitted.
     """
+    lo, hi = (float(c) for c in clip)
+    if not 0.0 < lo < hi < 1.0:
+        raise InvalidArgumentError(f"clip must satisfy 0 < lo < hi < 1, got {clip}")
     x = _as_2d_features(covariates)
     t = np.asarray(treatment)
     y = np.asarray(outcome, dtype=float)
@@ -306,7 +352,6 @@ def aipw_ate(
         e_raw = np.asarray(propensities, dtype=float)
         if e_raw.shape != (n,):
             raise InvalidArgumentError("propensities must be (n,)")
-    lo, hi = clip
     e = np.clip(e_raw, lo, hi)
     frac_clipped = float(np.mean((e_raw < lo) | (e_raw > hi)))
     if frac_clipped > 0.20:

@@ -57,8 +57,9 @@ def test_logistic_labels_keep_their_original_values():
 
 
 def _logistic_weights_recomputing_softmax(features, labels, l2=1e-4, max_iter=500, lr0=1.0):
-    """The descent loop as it was before ``logistic_fit`` carried the accepted
-    step's probabilities forward: each iteration recomputes the softmax."""
+    """Gradient descent on the same objective, with the step size halved
+    whenever a step would raise the loss: the reference that ``logistic_fit``
+    must match or beat."""
     x = np.asarray(features, dtype=float)
     classes, y_idx = np.unique(labels, return_inverse=True)
     mean = x.mean(axis=0)
@@ -98,18 +99,49 @@ def _logistic_weights_recomputing_softmax(features, labels, l2=1e-4, max_iter=50
     return w
 
 
+def _penalized_loss_and_grad(features, labels, w, l2=1e-4):
+    """Mean log-loss plus ``l2 * ||W[:-1]||^2`` and its gradient, at ``w``."""
+    x = np.asarray(features, dtype=float)
+    _, y_idx = np.unique(labels, return_inverse=True)
+    std = np.maximum(x.std(axis=0), 1e-8)
+    xs = np.concatenate([(x - x.mean(axis=0)) / std, np.ones((x.shape[0], 1))], axis=1)
+    n = xs.shape[0]
+    logits = xs @ w
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(n), y_idx] = 1.0
+    grad = xs.T @ (p - onehot) / n
+    grad[:-1] += 2.0 * l2 * w[:-1]
+    loss = -np.log(p[np.arange(n), y_idx]).mean() + l2 * np.sum(w[:-1] ** 2)
+    return loss, grad
+
+
 @pytest.mark.parametrize(
     "centers", [[(-0.5, 0.2, 0.0), (0.5, -0.2, 0.1)], [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.2)]]
 )
-@pytest.mark.parametrize("lr0", [1.0, 1000.0])
-def test_logistic_weights_are_bit_identical_to_recomputing_the_softmax(centers, lr0):
-    """Overlapping binary and three-class blobs.  At lr0 1 the loop runs to
-    max_iter; at lr0 1000 the step halves 3 to 5 times and the loop stops on
-    a small gain.  Either way the weights agree bit for bit."""
+def test_logistic_fit_reaches_the_penalized_optimum(centers):
+    """Binary and three-class blobs: the fit ends where the penalized
+    gradient vanishes, at a loss no higher than gradient descent's, with the
+    class biases summing to 0 as they do from the zero start."""
     x, y = _blobs(substream(8, "logistic-reuse"), centers, 120)
-    want = _logistic_weights_recomputing_softmax(x, y, lr0=lr0)
-    got = logistic_fit(x, y, lr0=lr0).weights
-    assert got.tobytes() == want.tobytes()
+    w = logistic_fit(x, y).weights
+    loss, grad = _penalized_loss_and_grad(x, y, w)
+    want, _ = _penalized_loss_and_grad(x, y, _logistic_weights_recomputing_softmax(x, y))
+    assert np.max(np.abs(grad)) <= 1e-8
+    assert loss <= want
+    assert abs(w[-1].sum()) <= 1e-12
+
+
+def test_logistic_fit_on_separable_labels_ends_within_50_iterations():
+    """Well-separated blobs have no unpenalized optimum; the penalty gives
+    one, and Newton's method reaches it long before the cap."""
+    x, y = _blobs(substream(1, "blobs"), [(-3.0, 0.0), (3.0, 0.0)], 100)
+    w = logistic_fit(x, y, max_iter=50).weights
+    assert np.all(np.isfinite(w))
+    _, grad = _penalized_loss_and_grad(x, y, w)
+    assert np.max(np.abs(grad)) <= 1e-8
+    np.testing.assert_array_equal(logistic_fit(x, y).weights, w)
 
 
 def test_permuted_labels_score_at_chance():
@@ -216,6 +248,56 @@ def test_latent_r2_constant_target_warns():
         assert latent_r2(z, np.ones(100), seed=5) == 0.0
 
 
+def test_latent_r2_matches_a_general_solve():
+    """The Cholesky solve on the in-place kernel agrees with an LU solve on
+    a kernel built out of place."""
+    rng = substream(16, "r2-solve")
+    z = rng.standard_normal((300, 3))
+    y = np.tanh(z[:, :2]) + 0.1 * rng.standard_normal((300, 2))
+    perm = substream(7, "probe-split").permutation(300)
+    tr, te = perm[60:], perm[:60]
+    mean, std = z[tr].mean(axis=0), z[tr].std(axis=0)
+    ztr, zte = (z[tr] - mean) / std, (z[te] - mean) / std
+    d_tr = np.sum((ztr[:, None, :] - ztr[None, :, :]) ** 2, axis=2)
+    d_te = np.sum((zte[:, None, :] - ztr[None, :, :]) ** 2, axis=2)
+    bandwidth = 2.0 * np.median(d_tr)
+    kernel = np.exp(-d_tr / bandwidth) + 1e-3 * np.eye(240)
+    alpha = np.linalg.solve(kernel, y[tr] - y[tr].mean(axis=0))
+    pred = np.exp(-d_te / bandwidth) @ alpha + y[tr].mean(axis=0)
+    resid = np.sum((y[te] - pred) ** 2, axis=0)
+    total = np.sum((y[te] - y[te].mean(axis=0)) ** 2, axis=0)
+    want = np.mean(1.0 - resid / total)
+    assert abs(latent_r2(z, y, seed=7) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("ridge", [0.0, -1.0, np.nan, np.inf])
+def test_latent_r2_refuses_a_ridge_that_is_not_finite_and_positive(ridge):
+    z = substream(13, "r2-val").standard_normal((50, 2))
+    with pytest.raises(InvalidArgumentError, match="ridge"):
+        latent_r2(z, z[:, 0], seed=0, ridge=ridge)
+
+
+@pytest.mark.parametrize("l2", [0.0, -1.0, np.nan])
+def test_logistic_fit_refuses_an_l2_that_is_not_finite_and_positive(l2):
+    x, y = _blobs(substream(1, "blobs"), [(-3.0, 0.0), (3.0, 0.0)], 20)
+    with pytest.raises(InvalidArgumentError, match="l2"):
+        logistic_fit(x, y, l2=l2)
+
+
+@pytest.mark.parametrize("train_fraction", [1.0, 1.5, 0.0, np.nan])
+def test_latent_r2_refuses_a_train_fraction_outside_the_unit_interval(train_fraction):
+    z = substream(13, "r2-val").standard_normal((50, 2))
+    with pytest.raises(InvalidArgumentError, match="train_fraction"):
+        latent_r2(z, z[:, 0], seed=0, train_fraction=train_fraction)
+
+
+@pytest.mark.parametrize("test_fraction", [0.0, 1.0, -0.2])
+def test_partition_accuracy_refuses_a_test_fraction_outside_the_unit_interval(test_fraction):
+    x, y = _blobs(substream(1, "blobs"), [(-3.0, 0.0), (3.0, 0.0)], 20)
+    with pytest.raises(InvalidArgumentError, match="test_fraction"):
+        partition_accuracy(x, y, seed=0, test_fraction=test_fraction)
+
+
 def test_latent_r2_validation():
     rng = substream(13, "r2-val")
     z = rng.standard_normal((50, 2))
@@ -286,6 +368,13 @@ def test_aipw_validation():
         aipw_ate(x, np.arange(30) % 2, y[:-1])
     with pytest.raises(InvalidArgumentError):
         aipw_ate(x, np.arange(30) % 2, y, propensities=np.full(29, 0.5))
+
+
+@pytest.mark.parametrize("clip", [(0.6, 0.4), (0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.3, 0.3)])
+def test_aipw_refuses_a_clip_outside_0_lo_hi_1(clip):
+    ds = synthetic_causal_dataset(200, 24, "randomized")
+    with pytest.raises(InvalidArgumentError, match="clip"):
+        aipw_ate(ds.covariates, ds.treatment, ds.outcome, clip=clip)
 
 
 # ---------------------------------------------------------------------------
