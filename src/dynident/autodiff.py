@@ -376,28 +376,25 @@ def mlp_parameters(params: MlpParams) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 
 
+#: Adam's moment decay rates and denominator offset (Kingma & Ba 2015 defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments of one flat parameter buffer."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     t: int
     m: np.ndarray
     v: np.ndarray
 
 
-def adam_init(
-    params: np.ndarray,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
     """Zero moments shaped like ``params``."""
-    return AdamState(lr, beta1, beta2, eps, 0, np.zeros_like(params), np.zeros_like(params))
+    return AdamState(lr, 0, np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
@@ -412,7 +409,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     if not grad.shape == params.shape == state.m.shape:
         raise InvalidArgumentError("adam_step: gradient, parameters and moments differ in shape")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     m, v = state.m, state.v
@@ -425,7 +422,7 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     v += step
     denom = np.divide(v, bias2)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += _EPS
     np.divide(m, bias1, out=step)
     step *= state.lr
     step /= denom

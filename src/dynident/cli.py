@@ -3,7 +3,7 @@
 Subcommands
 -----------
 systems   list the compiled-in catalog as a TSV table
-simulate  integrate sampled parameter draws and persist trajectories
+simulate  integrate sampled parameter draws and persist trajectories (.npz archive)
 bench     run the RMSE estimation benchmark and emit CSV + markdown
 synth-mv  generate a paired-view dataset (.npz archive)
 train-mv  train a multiview identifier from a dataset + config (.npz archive)

@@ -268,7 +268,6 @@ def fit_derivative_matching(
     trajectory: Trajectory,
     theta0: Optional[np.ndarray] = None,
     derivs: Optional[np.ndarray] = None,
-    max_iter: int = 100,
 ) -> FitResult:
     """Regress the parametric field onto observed derivatives.
 
@@ -291,7 +290,7 @@ def fit_derivative_matching(
         return [[d if ok else None for d, ok in zip(diff, finite)]]
 
     [(theta_hat, loss, iters, converged)] = _run_lockstep(
-        [_levenberg_marquardt(start, max_iter=max_iter)], evaluate
+        [_levenberg_marquardt(start)], evaluate
     )
     return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
 
@@ -322,9 +321,6 @@ def _fit_trajectories(
     starts: Sequence[np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    *,
-    h_int: Optional[float] = None,
-    max_iter: int = 100,
 ) -> list[Optional[FitResult]]:
     """Trajectory matching of several trajectories on one grid, in lockstep.
 
@@ -347,7 +343,7 @@ def _fit_trajectories(
     def evaluate(indices, blocks):
         sizes = [b.shape[0] for b in blocks]
         states, _, ok, _ = integrate_batch(
-            system, np.concatenate(blocks), np.repeat(x0s[indices], sizes, axis=0), grid, h_int
+            system, np.concatenate(blocks), np.repeat(x0s[indices], sizes, axis=0), grid
         )
         out, row = [], 0
         for i, n in zip(indices, sizes):
@@ -358,7 +354,7 @@ def _fit_trajectories(
             row += n
         return out
 
-    solvers = [_levenberg_marquardt(s, project=project, max_iter=max_iter) for s in starts]
+    solvers = [_levenberg_marquardt(s, project=project) for s in starts]
     return [
         FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged) if np.isfinite(loss) else None
         for theta_hat, loss, iters, converged in _run_lockstep(solvers, evaluate)
@@ -370,8 +366,6 @@ def fit_trajectory_matching(
     trajectory: Trajectory,
     theta0: Optional[np.ndarray] = None,
     param_box: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    h_int: Optional[float] = None,
-    max_iter: int = 100,
 ) -> FitResult:
     """Match the simulated path to the observed one.
 
@@ -392,9 +386,7 @@ def fit_trajectory_matching(
         start = _trajectory_start(system, trajectory, lo, hi)
     else:
         start = np.asarray(theta0, dtype=float)
-    [fit] = _fit_trajectories(
-        system, [trajectory], [start], lo, hi, h_int=h_int, max_iter=max_iter
-    )
+    [fit] = _fit_trajectories(system, [trajectory], [start], lo, hi)
     if fit is None:
         raise EstimationFailureError(
             f"{system.id}: the start's integration diverged; no estimate available"

@@ -11,21 +11,27 @@ method is roughly 16.
 
 Besides integration this module provides second-order finite-difference
 derivative estimation, per-channel orthonormal DCT truncation/expansion for
-trajectory compression, and JSON-lines persistence.
+trajectory compression, and persistence of trajectory sets in the archive
+format of :mod:`dynident.archive`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.fft import dct as _dct, idct as _idct
 
-from .atomic import atomic_open
+from .archive import (
+    _TRAJECTORIES_KIND,
+    _grid_from_record,
+    _grid_record,
+    _read_archive,
+    _write_archive,
+)
 from .errors import DivergenceError, FileFormatError, InvalidArgumentError, require_int
-from .systems import OdeSystem, get_system
+from .systems import OdeSystem
 
 #: Euclidean state norm beyond which integration is declared divergent.
 OVERFLOW_GUARD = 1e8
@@ -313,51 +319,74 @@ def idct_expand(coeffs: np.ndarray, n_points: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: one JSON object per line, floats in shortest round-trip form
-# (bit-exact on reload).  Only uniform grids are persisted, as the schema
-# stores (t0, t_max, T).
+# Persistence: a ``trajectories`` archive (see :mod:`dynident.archive`).
 # ---------------------------------------------------------------------------
 
 
-def _trajectory_record(traj: Trajectory) -> dict:
-    traj.grid.spacing  # refuse non-uniform grids
-    rec = {
-        "system_id": traj.system_id,
-        "theta": None if traj.theta_truth is None else traj.theta_truth.tolist(),
-        "grid": {"t0": traj.grid.t0, "t_max": traj.grid.t_max, "T": traj.grid.n_points},
-        "states": traj.states.tolist(),
-        "derivs": None if traj.derivs is None else traj.derivs.tolist(),
-    }
-    return rec
-
-
-def _trajectory_from_record(rec: dict) -> Trajectory:
-    grid = TimeGrid.uniform(rec["grid"]["t0"], rec["grid"]["t_max"], rec["grid"]["T"])
-    return Trajectory(
-        system_id=rec["system_id"],
-        grid=grid,
-        states=np.asarray(rec["states"], dtype=float),
-        derivs=None if rec.get("derivs") is None else np.asarray(rec["derivs"], dtype=float),
-        theta_truth=None if rec.get("theta") is None else np.asarray(rec["theta"], dtype=float),
-    )
-
-
 def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
-    """Write trajectories as JSON lines."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(_trajectory_record(traj)))
-            fh.write("\n")
+    """Write trajectories of one system on one uniform grid as a
+    ``trajectories`` archive: float64 ``states`` (n, T, d) and, when the
+    trajectories carry them, ``derivs`` (n, T, d) and ``thetas`` (n, N).
+
+    Raises :class:`InvalidArgumentError` for an empty list, a list that
+    mixes systems, grids or shapes, and a list where only some trajectories
+    carry ``derivs`` or ``theta_truth``.
+    """
+    if not trajectories:
+        raise InvalidArgumentError("save_trajectories: no trajectories to save")
+    system_id, grid = trajectories[0].system_id, trajectories[0].grid
+    grid.spacing  # refuses a non-uniform grid, which the grid record cannot hold
+    for traj in trajectories:
+        if traj.system_id != system_id or not np.array_equal(traj.grid.points, grid.points):
+            raise InvalidArgumentError("save_trajectories: the trajectories mix systems or grids")
+    arrays = {}
+    for name, attr in (("states", "states"), ("derivs", "derivs"), ("thetas", "theta_truth")):
+        values = [getattr(t, attr) for t in trajectories]
+        if any(v is None for v in values):
+            if any(v is not None for v in values):
+                raise InvalidArgumentError(f"save_trajectories: some trajectories lack {attr}")
+        elif len({v.shape for v in values}) > 1:
+            raise InvalidArgumentError(f"save_trajectories: {attr} differ in shape")
+        else:
+            arrays[name] = np.stack(values)
+    meta = {
+        "system_id": system_id,
+        "grid": _grid_record(grid),
+        "n_trajectories": len(trajectories),
+        "has_derivs": "derivs" in arrays,
+        "has_thetas": "thetas" in arrays,
+    }
+    _write_archive(path, _TRAJECTORIES_KIND, meta, arrays)
 
 
 def load_trajectories(path) -> list[Trajectory]:
-    """Read trajectories written by :func:`save_trajectories`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            records = [json.loads(line) for line in fh if line.strip()]
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: not a JSON-lines trajectory file ({exc})") from exc
-    return [_trajectory_from_record(rec) for rec in records]
+    """Read trajectories written by :func:`save_trajectories`; raises
+    :class:`FileFormatError` naming ``path`` for any other file."""
+    meta, arrays = _read_archive(path, _TRAJECTORIES_KIND)
+    states, derivs, thetas = (arrays.get(name) for name in ("states", "derivs", "thetas"))
+    try:
+        n, flags = meta["n_trajectories"], (meta["has_derivs"], meta["has_thetas"])
+        if flags != (derivs is not None, thetas is not None) or any(
+            len(a) != n for a in arrays.values()
+        ):
+            raise ValueError("the arrays disagree with n_trajectories, has_derivs or has_thetas")
+        if thetas is not None and thetas.ndim != 2:
+            raise ValueError(f"thetas has shape {thetas.shape}, expected (n, N)")
+        if not isinstance(meta["system_id"], str):
+            raise ValueError(f"system_id {meta['system_id']!r} is not a string")
+        grid = _grid_from_record(meta["grid"])
+        return [
+            Trajectory(
+                meta["system_id"],
+                grid,
+                states[i],
+                derivs=None if derivs is None else derivs[i],
+                theta_truth=None if thetas is None else thetas[i],
+            )
+            for i in range(n)
+        ]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: malformed trajectories file ({exc})") from exc
 
 
 __all__ = [
@@ -372,5 +401,4 @@ __all__ = [
     "idct_expand",
     "save_trajectories",
     "load_trajectories",
-    "get_system",
 ]

@@ -24,10 +24,11 @@ from dynident.cli import (
     parse_argv,
     parse_config,
 )
+from dynident.archive import _read_archive, _write_archive
 from dynident.atomic import atomic_open
 from dynident.errors import ConfigError
 from dynident.estimators import EstimateReport
-from dynident.multiview import _read_archive, _write_archive, load_identifier
+from dynident.multiview import load_identifier
 from dynident.solver import load_trajectories
 
 
@@ -195,7 +196,7 @@ def test_systems_list_prints_catalog_tsv(capsys):
 
 
 def test_simulate_writes_trajectories_and_manifest(tmp_path):
-    out = tmp_path / "sir.jsonl"
+    out = tmp_path / "sir.npz"
     rc = main(
         ["simulate", "--system", "ode31", "--draws", "3", "--seed", "2",
          "--grid-points", "40", "--out", str(out)]
@@ -207,12 +208,12 @@ def test_simulate_writes_trajectories_and_manifest(tmp_path):
     assert trajs[0].derivs is not None
     assert trajs[0].theta_truth is not None
 
-    manifest = json.loads((tmp_path / "sir.jsonl.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "sir.npz.manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seeds"] == {"sample": 2}
-    assert manifest["outputs"]["sir.jsonl"] == _sha256(out)
+    assert manifest["outputs"]["sir.npz"] == _sha256(out)
 
-    bare = tmp_path / "bare.jsonl"
+    bare = tmp_path / "bare.npz"
     rc = main(
         ["simulate", "--system", "ode31", "--draws", "1", "--no-derivs",
          "--out", str(bare)]
@@ -680,7 +681,7 @@ def test_model_with_inconsistent_arrays_exits_2(tmp_path, capsys):
                  "--blocks", "2,2", "--hidden-dim", "8", "--depth", "2", "--n-init", "2"]) == 0
     meta, arrays = _read_archive(model, "multiview-model")
     arrays["prep.enc_mean"] = arrays["prep.enc_mean"][:, :-1]
-    _write_archive(model, meta, arrays)
+    _write_archive(model, "multiview-model", meta, arrays)
     capsys.readouterr()
     rc = main(["eval", "--model", str(model), "--data", str(data),
                "--report", str(tmp_path / "e.csv")])
@@ -691,11 +692,11 @@ def test_model_with_inconsistent_arrays_exits_2(tmp_path, capsys):
 
 
 def test_simulate_output_given_as_dataset_exits_2(tmp_path, capsys):
-    trajs = tmp_path / "trajs.jsonl"
+    trajs = tmp_path / "trajs.npz"
     assert main(["simulate", "--system", "ode27", "--draws", "2", "--seed", "1",
                  "--out", str(trajs)]) == 0
     capsys.readouterr()
-    rc = main(["train-mv", "--data", str(trajs), "--out", str(tmp_path / "m.json")])
+    rc = main(["train-mv", "--data", str(trajs), "--out", str(tmp_path / "m.npz")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1
@@ -748,7 +749,7 @@ def test_unknown_system_id_in_dataset_or_model_exits_2(tmp_path_factory, capsys)
         meta, arrays = _read_archive(files[role], kind)
         meta["system_id"] = "nope"
         renamed[role] = root / f"{role}.npz"
-        _write_archive(renamed[role], meta, arrays)
+        _write_archive(renamed[role], kind, meta, arrays)
     for argv, path in (
         (["train-mv", "--data", str(renamed["data"]), "--out", str(root / "m.npz")],
          renamed["data"]),
@@ -776,7 +777,7 @@ def test_model_config_of_the_wrong_type_exits_2_naming_the_key(
     meta, arrays = _read_archive(files["model"], "multiview-model")
     meta["config"][key] = value
     model = tmp_path_factory.mktemp("typed") / "model.npz"
-    _write_archive(model, meta, arrays)
+    _write_archive(model, "multiview-model", meta, arrays)
     capsys.readouterr()
     rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
                "--report", str(model.with_name("e.csv"))])
@@ -805,7 +806,7 @@ def test_non_integer_grid_or_index_in_a_file_exits_2_naming_the_key(
     else:
         meta[key] = value
     edited = tmp_path_factory.mktemp("ints") / f"{role}.npz"
-    _write_archive(edited, meta, arrays)
+    _write_archive(edited, kind, meta, arrays)
     if role == "data":
         argv = ["train-mv", "--data", str(edited), "--out", str(edited.with_name("m.npz"))]
     else:
@@ -835,7 +836,7 @@ def test_bad_shared_indices_in_a_model_exit_2(tmp_path_factory, capsys, value, r
     meta, arrays = _read_archive(files["model"], "multiview-model")
     meta["shared_param_indices"] = value
     model = tmp_path_factory.mktemp("shared") / "model.npz"
-    _write_archive(model, meta, arrays)
+    _write_archive(model, "multiview-model", meta, arrays)
     capsys.readouterr()
     rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
                "--report", str(model.with_name("e.csv"))])
@@ -859,7 +860,7 @@ def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, ca
                 per_layer[f"{role}.{v}.weights.{k}"] = w[v]
                 per_layer[f"{role}.{v}.biases.{k}"] = b[v]
     model = tmp_path_factory.mktemp("schema2") / "model.npz"
-    _write_archive(model, {**meta, "schema_version": 2}, per_layer)
+    _write_archive(model, "multiview-model", {**meta, "schema_version": 2}, per_layer)
     capsys.readouterr()
     rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
                "--report", str(model.with_name("e.csv"))])

@@ -15,13 +15,12 @@ from dynident.errors import (
     NumericDomainError,
     TrainingDivergedError,
 )
+from dynident.archive import _read_archive, _write_archive
 from dynident.multiview import (
     IdentifierConfig,
     PartitionLayout,
     _loss_and_grads,
-    _read_archive,
     _standardized_inputs,
-    _write_archive,
     alignment_ratio,
     build_identifier,
     decode_forecast,
@@ -700,7 +699,7 @@ def _edited_checkpoint(tmp_path, edit):
     save_identifier(path, model)
     meta, arrays = _read_archive(path, "multiview-model")
     edit(arrays)
-    _write_archive(path, meta, arrays)
+    _write_archive(path, "multiview-model", meta, arrays)
     return path
 
 
@@ -887,28 +886,33 @@ def test_archive_refuses_wrong_kind_missing_members_and_wrong_dtypes(tmp_path):
         load_dataset(model)
 
     meta, arrays = _read_archive(data, "multiview-dataset")
-    _write_archive(tmp_path / "no-x0s.npz", meta, {k: v for k, v in arrays.items() if k != "x0s"})
+    _write_archive(tmp_path / "no-x0s.npz", "multiview-dataset", meta,
+                   {k: v for k, v in arrays.items() if k != "x0s"})
     with pytest.raises(FileFormatError, match=r"missing x0s\.npy"):
         load_dataset(tmp_path / "no-x0s.npz")
-    _write_archive(tmp_path / "f32.npz", meta, {**arrays, "thetas": arrays["thetas"].astype(np.float32)})
+    _write_archive(tmp_path / "f32.npz", "multiview-dataset", meta,
+                   {**arrays, "thetas": arrays["thetas"].astype(np.float32)})
     with pytest.raises(FileFormatError, match="thetas has dtype float32"):
         load_dataset(tmp_path / "f32.npz")
-    _write_archive(tmp_path / "labels.npz", meta, {**arrays, "labels": np.zeros(ds.n_pairs)})
+    _write_archive(tmp_path / "labels.npz", "multiview-dataset", meta,
+                   {**arrays, "labels": np.zeros(ds.n_pairs)})
     with pytest.raises(FileFormatError, match="labels has dtype float64"):
         load_dataset(tmp_path / "labels.npz")
-    _write_archive(tmp_path / "v1.npz", {**meta, "schema_version": 1}, arrays)
+    _write_archive(tmp_path / "v1.npz", "multiview-dataset", {**meta, "schema_version": 1}, arrays)
     with pytest.raises(FileFormatError, match="schema_version 1"):
         load_dataset(tmp_path / "v1.npz")
-    _write_archive(tmp_path / "short.npz", {**meta, "n_pairs": ds.n_pairs + 1}, arrays)
+    _write_archive(tmp_path / "short.npz", "multiview-dataset",
+                   {**meta, "n_pairs": ds.n_pairs + 1}, arrays)
     with pytest.raises(FileFormatError, match="meta.json declares"):
         load_dataset(tmp_path / "short.npz")
-    _write_archive(tmp_path / "idx.npz", {**meta, "shared_param_indices": [0, 9]}, arrays)
+    _write_archive(tmp_path / "idx.npz", "multiview-dataset",
+                   {**meta, "shared_param_indices": [0, 9]}, arrays)
     with pytest.raises(FileFormatError, match=r"shared_param_indices \(0, 9\) out of range"):
         load_dataset(tmp_path / "idx.npz")
 
     meta, arrays = _read_archive(model, "multiview-model")
     del arrays["params"]
-    _write_archive(tmp_path / "no-params.npz", meta, arrays)
+    _write_archive(tmp_path / "no-params.npz", "multiview-model", meta, arrays)
     with pytest.raises(FileFormatError, match=r"missing params\.npy"):
         load_identifier(tmp_path / "no-params.npz")
 

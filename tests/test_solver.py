@@ -22,6 +22,8 @@ from dynident import (
     load_trajectories,
     save_trajectories,
 )
+from dynident.archive import _read_archive, _write_archive
+from dynident.multiview import generate_multiview_dataset, save_dataset
 from dynident.solver import _STEPS_PER_HORIZON, _substep_plan
 from dynident.systems import CATALOG, OdeSystem, sample_parameters
 
@@ -340,35 +342,112 @@ def test_dct_bad_fraction_rejected():
 # --- persistence ----------------------------------------------------------------
 
 
-def test_trajectory_roundtrip_is_bit_exact(tmp_path):
+def _lorenz_pair():
     s = get_system("ode56")
-    traj = integrate(s, np.array([10.0, 28.0, 8.0 / 3.0]))
-    path = tmp_path / "trajs.jsonl"
-    save_trajectories(path, [traj])
+    return [integrate(s, np.array(theta)) for theta in ([10.0, 28.0, 8.0 / 3.0], [9.0, 27.0, 2.5])]
+
+
+def test_trajectory_roundtrip_is_bit_exact(tmp_path):
+    trajs = _lorenz_pair()
+    path = tmp_path / "trajs.npz"
+    save_trajectories(path, trajs)
     loaded = load_trajectories(path)
-    assert len(loaded) == 1
-    got = loaded[0]
-    assert got.system_id == traj.system_id
-    np.testing.assert_array_equal(got.states, traj.states)
-    np.testing.assert_array_equal(got.derivs, traj.derivs)
-    np.testing.assert_array_equal(got.theta_truth, traj.theta_truth)
-    np.testing.assert_array_equal(got.grid.points, traj.grid.points)
+    assert len(loaded) == 2
+    for got, traj in zip(loaded, trajs):
+        assert got.system_id == traj.system_id
+        assert got.states.tobytes() == traj.states.tobytes()
+        assert got.derivs.tobytes() == traj.derivs.tobytes()
+        assert got.theta_truth.tobytes() == traj.theta_truth.tobytes()
+        assert got.grid.points.tobytes() == traj.grid.points.tobytes()
+    again = tmp_path / "again.npz"
+    save_trajectories(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_trajectory_roundtrip_without_optional_fields(tmp_path):
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     traj = Trajectory(system_id="anon", grid=grid, states=np.arange(8.0).reshape(4, 2) / 7.0)
-    path = tmp_path / "t.jsonl"
+    path = tmp_path / "t.npz"
     save_trajectories(path, [traj])
-    got = load_trajectories(path)[0]
+    [got] = load_trajectories(path)
+    assert got.system_id == "anon"
     assert got.derivs is None and got.theta_truth is None
     np.testing.assert_array_equal(got.states, traj.states)
 
 
 def test_truncated_trajectory_file_names_the_path(tmp_path):
-    s = get_system("ode56")
-    path = tmp_path / "trajs.jsonl"
-    save_trajectories(path, [integrate(s, np.array([10.0, 28.0, 8.0 / 3.0]))])
+    path = tmp_path / "trajs.npz"
+    save_trajectories(path, _lorenz_pair())
     path.write_bytes(path.read_bytes()[:500])
-    with pytest.raises(FileFormatError, match="trajs.jsonl"):
+    with pytest.raises(FileFormatError, match="trajs.npz"):
         load_trajectories(path)
+
+
+@pytest.mark.parametrize("line", [
+    '{"system_id": "ode2", "theta": [1.0], "grid": {"t0": 0.0, "t_max": 1.0, "T": 2}, '
+    '"states": [[1.0], [0.5]], "derivs": null}',
+    "{}",
+    "[1, 2]",
+])
+def test_json_lines_trajectory_file_asks_to_regenerate(tmp_path, line):
+    path = tmp_path / "draws.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(FileFormatError, match="regenerate with simulate") as err:
+        load_trajectories(path)
+    assert str(path) in str(err.value)
+
+
+def test_archive_of_another_kind_or_without_states_names_the_path(tmp_path):
+    dataset = tmp_path / "pairs.npz"
+    save_dataset(dataset, generate_multiview_dataset("ode27", 2, 0, (0, 1), grid_points=5))
+    with pytest.raises(FileFormatError, match="not a trajectories file") as err:
+        load_trajectories(dataset)
+    assert str(dataset) in str(err.value)
+
+    good = tmp_path / "trajs.npz"
+    save_trajectories(good, _lorenz_pair())
+    meta, arrays = _read_archive(good, "trajectories")
+    no_states = tmp_path / "no-states.npz"
+    _write_archive(no_states, "trajectories", meta, {k: arrays[k] for k in ("derivs", "thetas")})
+    with pytest.raises(FileFormatError, match="missing states.npy") as err:
+        load_trajectories(no_states)
+    assert str(no_states) in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    {"n_trajectories": 3},
+    {"has_derivs": False},
+    {"has_thetas": 1.5},
+    {"system_id": 56},
+    {"grid": {"t0": 0.0, "t_max": 1.0, "n_points": 7}},
+    {"grid": [0.0, 1.0, 100]},
+])
+def test_archive_at_odds_with_its_meta_names_the_path(tmp_path, edit):
+    good = tmp_path / "trajs.npz"
+    save_trajectories(good, _lorenz_pair())
+    meta, arrays = _read_archive(good, "trajectories")
+    bad = tmp_path / "bad.npz"
+    _write_archive(bad, "trajectories", {**meta, **edit}, arrays)
+    with pytest.raises(FileFormatError, match="malformed trajectories file") as err:
+        load_trajectories(bad)
+    assert str(bad) in str(err.value)
+
+
+def test_save_trajectories_refuses_lists_it_cannot_store(tmp_path):
+    lorenz, other = _lorenz_pair()
+    grid = lorenz.grid
+    coarse = integrate(get_system("ode56"), lorenz.theta_truth, grid=TimeGrid.uniform(0.0, 1.0, 50))
+    renamed = Trajectory("anon", grid, lorenz.states, lorenz.derivs, lorenz.theta_truth)
+    bare = Trajectory(lorenz.system_id, grid, lorenz.states, theta_truth=lorenz.theta_truth)
+    no_theta = Trajectory(lorenz.system_id, grid, lorenz.states, derivs=lorenz.derivs)
+    for trajs, reason in [
+        ([], "no trajectories"),
+        ([lorenz, renamed], "mix systems or grids"),
+        ([lorenz, coarse], "mix systems or grids"),
+        ([lorenz, bare], "some trajectories lack derivs"),
+        ([no_theta, other], "some trajectories lack theta_truth"),
+    ]:
+        path = tmp_path / "refused.npz"
+        with pytest.raises(InvalidArgumentError, match=reason):
+            save_trajectories(path, trajs)
+        assert not path.exists()
