@@ -6,13 +6,15 @@ Two kinds of tooling live here.
 logistic classifier (:func:`partition_accuracy`) for discrete experiment
 labels, and kernel ridge regression with an RBF kernel
 (:func:`latent_r2`) for continuous parameter targets.  Both evaluate on a
-held-out split so that a sufficiently flexible probe cannot fake skill.
+fixed 20% held-out split so that a sufficiently flexible probe cannot fake
+skill.
 
 *Effect estimation* is an augmented inverse-propensity-weighted (AIPW)
 estimator of an average treatment effect with plug-in nuisance models — a
-logistic propensity and per-arm ridge outcome regressions.  The estimator is
-doubly robust: it stays consistent when either nuisance model is correct.
-A small synthetic generator with known ground truth rounds out the module.
+logistic propensity, clipped to [0.01, 0.99], and per-arm ridge outcome
+regressions.  The estimator is doubly robust: it stays consistent when
+either nuisance model is correct.  A small synthetic generator with known
+ground truth rounds out the module.
 """
 
 from __future__ import annotations
@@ -28,6 +30,19 @@ from .errors import DegenerateLabelsError, InvalidArgumentError
 from .seeding import substream
 
 _STD_FLOOR = 1e-8
+#: The logistic probe's penalty on the non-bias weights; it makes the optimum
+#: unique even when the classes are separable.
+_LOGISTIC_L2 = 1e-4
+#: Newton's method stops at the optimum; this only caps a fit that does not.
+_LOGISTIC_MAX_ITER = 500
+#: The share of rows each probe holds out for scoring.
+_HELD_OUT_FRACTION = 0.2
+#: The ridge added to the RBF kernel matrix in :func:`latent_r2`.
+_KERNEL_RIDGE = 1e-3
+#: The ridge on AIPW's per-arm outcome regressions.
+_OUTCOME_L2 = 1e-3
+#: AIPW clips propensities into [_PROPENSITY_LO, _PROPENSITY_HI].
+_PROPENSITY_LO, _PROPENSITY_HI = 0.01, 0.99
 
 
 def _as_2d_features(x) -> np.ndarray:
@@ -39,20 +54,6 @@ def _as_2d_features(x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("features contain non-finite values")
     return x
-
-
-def _positive_finite(name: str, value) -> float:
-    value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
-        raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
-def _open_unit(name: str, value) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
-    return value
 
 
 def _standardizer(train: np.ndarray):
@@ -80,23 +81,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def logistic_fit(
-    features,
-    labels,
-    l2: float = 1e-4,
-    max_iter: int = 500,
-) -> LogisticModel:
+def logistic_fit(features, labels) -> LogisticModel:
     """Multinomial logistic regression on standardized features.
 
-    Minimizes the mean log-loss plus ``l2 * ||W[:-1]||^2`` (the bias row is
-    not penalized) by damped Newton steps from zero weights.  Each step is
-    halved until the penalized loss does not increase, so the loss sequence
-    is non-increasing and the fit is deterministic.  The fit stops when the
-    Newton decrement or the gain becomes negligible; ``max_iter`` only caps
-    a fit that does neither.  ``l2`` must be finite and positive: it makes
-    the optimum unique even when the classes are separable.
+    Minimizes the mean log-loss plus ``1e-4 * ||W[:-1]||^2`` (the bias row
+    is not penalized) by damped Newton steps from zero weights.  Each step
+    is halved until the penalized loss does not increase, so the loss
+    sequence is non-increasing and the fit is deterministic.  The fit stops
+    when the Newton decrement or the gain becomes negligible.  The penalty
+    makes the optimum unique even when the classes are separable.
     """
-    l2 = _positive_finite("l2", l2)
     x = _as_2d_features(features)
     y = np.asarray(labels)
     if y.shape != (x.shape[0],):
@@ -118,7 +112,7 @@ def logistic_fit(
     # bias entries removes the singularity without changing the step, which
     # is orthogonal to that direction like the gradient; the class biases
     # keep summing to 0.
-    curvature = np.diag(np.tile(np.r_[np.full(fp1 - 1, 2.0 * l2), 0.0], k))
+    curvature = np.diag(np.tile(np.r_[np.full(fp1 - 1, 2.0 * _LOGISTIC_L2), 0.0], k))
     bias = np.arange(k) * fp1 + fp1 - 1
     curvature[np.ix_(bias, bias)] += 1.0
 
@@ -128,12 +122,12 @@ def logistic_fit(
         """The penalized loss at ``wm`` and the class probabilities behind it."""
         p = _softmax(xs @ wm)
         nll = -np.log(np.maximum(p[np.arange(n), y_idx], 1e-300)).mean()
-        return nll + l2 * np.sum(wm[:-1] ** 2), p
+        return nll + _LOGISTIC_L2 * np.sum(wm[:-1] ** 2), p
 
     loss, p = loss_of(w)
-    for _ in range(max_iter):
+    for _ in range(_LOGISTIC_MAX_ITER):
         grad = xs.T @ (p - onehot) / n
-        grad[:-1] += 2.0 * l2 * w[:-1]
+        grad[:-1] += 2.0 * _LOGISTIC_L2 * w[:-1]
         # Block (c, e) of the Hessian weighs row i by p_ic (delta_ce - p_ie).
         hess = np.block(
             [[xs.T @ (xs * (p[:, [c]] * ((c == e) - p[:, [e]]))) for e in range(k)]
@@ -176,21 +170,21 @@ def logistic_predict(model: LogisticModel, features) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _split(n: int, seed: int, held_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    n_test = max(1, int(round(held_fraction * n)))
+def _split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    n_test = max(1, int(round(_HELD_OUT_FRACTION * n)))
     if n_test >= n:
         raise InvalidArgumentError("not enough rows for a train/test split")
     perm = substream(seed, "probe-split").permutation(n)
     return perm[n_test:], perm[:n_test]
 
 
-def partition_accuracy(features, labels, seed: int, test_fraction: float = 0.2) -> float:
+def partition_accuracy(features, labels, seed: int) -> float:
     """Held-out accuracy of a logistic probe predicting discrete labels.
 
+    The probe trains on 80% of the rows and is scored on the other 20%.
     A single-class target is trivially predictable: the probe returns 1.0
     and warns rather than failing, so callers can still rank degenerate runs.
     """
-    test_fraction = _open_unit("test_fraction", test_fraction)
     x = _as_2d_features(features)
     y = np.asarray(labels)
     if y.shape != (x.shape[0],):
@@ -198,7 +192,7 @@ def partition_accuracy(features, labels, seed: int, test_fraction: float = 0.2) 
     if np.unique(y).size < 2:
         warnings.warn("partition_accuracy: single-class labels, returning 1.0")
         return 1.0
-    tr, te = _split(x.shape[0], seed, test_fraction)
+    tr, te = _split(x.shape[0], seed)
     if np.unique(y[tr]).size < 2:
         warnings.warn("partition_accuracy: single-class training split, returning 1.0")
         return 1.0
@@ -228,33 +222,25 @@ def partition_accuracy_matrix(latents, layout, factor_labels, seed: int) -> np.n
     return out
 
 
-def latent_r2(
-    features,
-    targets,
-    seed: int,
-    train_fraction: float = 0.8,
-    ridge: float = 1e-3,
-) -> float:
+def latent_r2(features, targets, seed: int) -> float:
     """Held-out R^2 of RBF kernel ridge regression from features to targets.
 
+    The probe trains on 80% of the rows and is scored on the other 20%.
     The bandwidth follows the median heuristic — twice the median pairwise
     squared distance between (standardized) training rows — and the ridge
-    term is ``ridge * I`` on the kernel matrix, which keeps that matrix
-    positive definite, so the system is solved by Cholesky; ``ridge`` must be
-    finite and > 0, and ``train_fraction`` must lie in (0, 1).  Multi-column
+    term is ``1e-3 * I`` on the kernel matrix, which keeps that matrix
+    positive definite, so the system is solved by Cholesky.  Multi-column
     targets are scored per column and averaged.
     R^2 is computed against the held-out mean, so a useless probe scores
     around zero (possibly below) and a perfect one scores 1.
     """
-    train_fraction = _open_unit("train_fraction", train_fraction)
-    ridge = _positive_finite("ridge", ridge)
     x = _as_2d_features(features)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
     if y.shape[0] != x.shape[0]:
         raise InvalidArgumentError("targets must match the feature rows")
-    tr, te = _split(x.shape[0], seed, 1.0 - train_fraction)
+    tr, te = _split(x.shape[0], seed)
     stdz = _standardizer(x[tr])
     xtr, xte = stdz(x[tr]), stdz(x[te])
 
@@ -265,7 +251,7 @@ def latent_r2(
     bandwidth = max(2.0 * float(np.median(d_tr)), 1e-12)
     # The kernel overwrites the distances: d_tr is not needed again.
     k_tr = np.exp(np.divide(d_tr, -bandwidth, out=d_tr), out=d_tr)
-    k_tr[np.diag_indices_from(k_tr)] += ridge
+    k_tr[np.diag_indices_from(k_tr)] += _KERNEL_RIDGE
 
     y_mean = y[tr].mean(axis=0)
     factor = cho_factor(k_tr, overwrite_a=True, check_finite=False)
@@ -297,11 +283,11 @@ class AteResult:
     warnings: tuple = ()
 
 
-def _ridge_regression(x: np.ndarray, y: np.ndarray, l2: float = 1e-3) -> np.ndarray:
+def _ridge_regression(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients for standardized-x ridge with an unpenalized intercept."""
     xs = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
     gram = xs.T @ xs
-    penalty = l2 * np.eye(xs.shape[1])
+    penalty = _OUTCOME_L2 * np.eye(xs.shape[1])
     penalty[-1, -1] = 0.0
     return np.linalg.solve(gram + penalty, xs.T @ y)
 
@@ -313,7 +299,6 @@ def aipw_ate(
     *,
     propensities: Optional[np.ndarray] = None,
     outcome_means: Optional[tuple] = None,
-    clip: tuple = (0.01, 0.99),
 ) -> AteResult:
     """Doubly robust ATE with influence-function standard error.
 
@@ -322,12 +307,9 @@ def aipw_ate(
     overridden (``propensities`` as P(T=1|x); ``outcome_means`` as a
     ``(mu0, mu1)`` pair of per-row predictions), which is also how the
     double-robustness property is exercised in tests.  Propensities are
-    clipped to ``clip``; if more than 20% of rows get clipped, a positivity
-    warning is recorded on the result and emitted.
+    clipped to [0.01, 0.99]; if more than 20% of rows get clipped, a
+    positivity warning is recorded on the result and emitted.
     """
-    lo, hi = (float(c) for c in clip)
-    if not 0.0 < lo < hi < 1.0:
-        raise InvalidArgumentError(f"clip must satisfy 0 < lo < hi < 1, got {clip}")
     x = _as_2d_features(covariates)
     t = np.asarray(treatment)
     y = np.asarray(outcome, dtype=float)
@@ -352,12 +334,12 @@ def aipw_ate(
         e_raw = np.asarray(propensities, dtype=float)
         if e_raw.shape != (n,):
             raise InvalidArgumentError("propensities must be (n,)")
-    e = np.clip(e_raw, lo, hi)
-    frac_clipped = float(np.mean((e_raw < lo) | (e_raw > hi)))
+    e = np.clip(e_raw, _PROPENSITY_LO, _PROPENSITY_HI)
+    frac_clipped = float(np.mean((e_raw < _PROPENSITY_LO) | (e_raw > _PROPENSITY_HI)))
     if frac_clipped > 0.20:
         msg = (
-            f"aipw_ate: {frac_clipped:.0%} of propensities clipped to [{lo}, {hi}]; "
-            "overlap between arms is weak"
+            f"aipw_ate: {frac_clipped:.0%} of propensities clipped to "
+            f"[{_PROPENSITY_LO}, {_PROPENSITY_HI}]; overlap between arms is weak"
         )
         notes.append(msg)
         warnings.warn(msg)
@@ -382,13 +364,10 @@ def aipw_ate(
     return AteResult(ate_hat=ate, se_hat=se, n=n, warnings=tuple(notes))
 
 
-def ate_trend(ates: Sequence, isotonic: bool = False) -> np.ndarray:
+def ate_trend(ates: Sequence) -> np.ndarray:
     """Change ratios (ATE_t - ATE_0) / ATE_0 along a sequence of effects.
 
-    Accepts floats or :class:`AteResult` entries.  With ``isotonic=True``
-    the ratio series is replaced by its least-squares monotone projection
-    (pool adjacent violators), oriented by the sign of the net change —
-    useful for reading a drift direction out of a noisy series.
+    Accepts floats or :class:`AteResult` entries.
     """
     values = np.array(
         [a.ate_hat if isinstance(a, AteResult) else float(a) for a in ates],
@@ -398,31 +377,7 @@ def ate_trend(ates: Sequence, isotonic: bool = False) -> np.ndarray:
         raise InvalidArgumentError("ate_trend: need at least two effect estimates")
     if abs(values[0]) < 1e-12:
         raise InvalidArgumentError("ate_trend: baseline effect is (near) zero")
-    ratios = (values - values[0]) / values[0]
-    if not isotonic:
-        return ratios
-    flip = ratios[-1] < ratios[0]
-    seq = -ratios if flip else ratios
-    fitted = _pool_adjacent_violators(seq)
-    return -fitted if flip else fitted
-
-
-def _pool_adjacent_violators(seq: np.ndarray) -> np.ndarray:
-    """L2 projection onto non-decreasing sequences (uniform weights)."""
-    means = list(seq.astype(float))
-    counts = [1] * len(means)
-    i = 0
-    while i < len(means) - 1:
-        if means[i] <= means[i + 1] + 1e-15:
-            i += 1
-            continue
-        total = means[i] * counts[i] + means[i + 1] * counts[i + 1]
-        counts[i] += counts[i + 1]
-        means[i] = total / counts[i]
-        del means[i + 1], counts[i + 1]
-        if i > 0:
-            i -= 1
-    return np.repeat(means, counts)
+    return (values - values[0]) / values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,10 @@ def _gt(bound):
     return lambda v: None if v > bound else f"must be > {bound}"
 
 
+def _jitter(v):
+    return None if 0.0 <= v < 1.0 else "must be in [0, 1)"
+
+
 def _choice(*allowed):
     return lambda v: None if v in allowed else f"must be one of {', '.join(allowed)}"
 
@@ -257,9 +261,7 @@ def _sci1(x: float) -> str:
     return f"{mantissa}e{int(exponent)}"
 
 
-_REPORT_COLUMNS = tuple(
-    f.name for f in dataclasses.fields(EstimateReport) if f.name != "wall_time_s"
-)
+_REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(EstimateReport))
 
 
 def emit_report(reports, csv_path=None, md_path=None) -> dict:
@@ -267,8 +269,7 @@ def emit_report(reports, csv_path=None, md_path=None) -> dict:
 
     The CSV keeps full shortest-round-trip precision in a stable column
     order; the markdown renders the same numbers in the ``mean ± std``
-    one-significant-digit style.  Wall time is deliberately not emitted so
-    reruns produce identical files.
+    one-significant-digit style.
     """
     if not reports:
         raise InvalidArgumentError("emit_report: need at least one report row")
@@ -318,7 +319,7 @@ _SCHEMAS = {
         "seed": Opt(int, default=0),
         "grid_points": Opt(int, default=100, check=_ge(2)),
         "t_max": Opt(float, check=_gt(0.0)),
-        "x0_jitter": Opt(float, default=0.0, check=_ge(0.0)),
+        "x0_jitter": Opt(float, default=0.0, check=_jitter),
         "derivs": Opt(bool, default=True,
                       help="store exact derivatives alongside states (default on)"),
         "out": Opt(str, required=True),
@@ -342,7 +343,7 @@ _SCHEMAS = {
         "views": Opt(int, default=2, check=_ge(2)),
         "grid_points": Opt(int, default=50, check=_ge(2)),
         "t_max": Opt(float, check=_gt(0.0)),
-        "x0_jitter": Opt(float, default=0.1, check=_ge(0.0)),
+        "x0_jitter": Opt(float, default=0.1, check=_jitter),
         "prototypes": Opt(str, parse=_prototype_rows,
                           help="discrete shared values, rows ';'-separated: '0.7,1.6;1.7,0.7'"),
         "out": Opt(str, required=True),
@@ -582,12 +583,16 @@ def _cmd_eval(cfg: RunConfig):
 
 def _cmd_report(cfg: RunConfig):
     """re-render a benchmark CSV as markdown"""
-    with open(cfg["input"], newline="") as fh:
+    with open(cfg["input"], newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != _REPORT_COLUMNS:
+        try:
+            columns = tuple(reader.fieldnames or ())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"input: not a UTF-8 text file ({exc})") from exc
+        if columns != _REPORT_COLUMNS:
             raise ConfigError(
                 f"input: expected columns {','.join(_REPORT_COLUMNS)}; "
-                f"got {','.join(reader.fieldnames or ())}"
+                f"got {','.join(columns)}"
             )
         try:
             reports = [
@@ -599,7 +604,6 @@ def _cmd_report(cfg: RunConfig):
                     rmse_mean=float(row["rmse_mean"]),
                     rmse_std=float(row["rmse_std"]),
                     n_failures=int(row["n_failures"]),
-                    wall_time_s=0.0,
                 )
                 for row in reader
             ]

@@ -32,7 +32,6 @@ derivative-matching start.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence
 
@@ -56,6 +55,15 @@ METHODS = (METHOD_CLOSED, METHOD_DERIV, METHOD_TRAJ)
 
 #: Gram matrices with a condition number beyond this are refused.
 _COND_LIMIT = 1e12
+
+#: Levenberg-Marquardt's iteration cap and starting damping.
+_LM_MAX_ITER = 100
+_LM_LAM0 = 1e-3
+#: An accepted step converges when it moves theta by less than
+#: _LM_STEP_TOL relative to |theta| or cuts the loss by less than
+#: _LM_DECREASE_TOL relative to the loss.
+_LM_STEP_TOL = 1e-10
+_LM_DECREASE_TOL = 1e-12
 
 
 @dataclass
@@ -85,7 +93,6 @@ class EstimateReport:
     rmse_mean: float
     rmse_std: float
     n_failures: int
-    wall_time_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +104,6 @@ def _levenberg_marquardt(
     theta0: np.ndarray,
     *,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    max_iter: int = 100,
-    lam0: float = 1e-3,
-    step_tol: float = 1e-10,
-    decrease_tol: float = 1e-12,
 ) -> Generator[np.ndarray, list, tuple[np.ndarray, float, int, bool]]:
     """Minimize ||r(theta)||^2 with damped Gauss-Newton steps.
 
@@ -111,8 +114,8 @@ def _levenberg_marquardt(
     integration); infeasible candidates are rejected.  The Jacobian at a
     candidate thus arrives with the candidate itself and goes unused if the
     candidate is rejected.  Damping follows the classic schedule: multiply by
-    10 on rejection, divide by 10 on acceptance, starting from ``lam0``.
-    Returns ``(theta, loss, iterations, converged)``; run it with
+    10 on rejection, divide by 10 on acceptance, starting from 1e-3; at most
+    100 iterations run.  Returns ``(theta, loss, iterations, converged)``; run it with
     :func:`_run_lockstep`.
     """
 
@@ -130,10 +133,10 @@ def _levenberg_marquardt(
     if r is None:
         return theta, np.inf, 0, False
     loss = float(r @ r)
-    lam = lam0
+    lam = _LM_LAM0
     n_params = theta.size
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _LM_MAX_ITER + 1):
         jac = np.zeros((r.size, n_params))
         for i, rp in enumerate(rows[1:]):
             if rp is not None:
@@ -165,14 +168,14 @@ def _levenberg_marquardt(
                 theta, r, loss, h, rows = candidate, r_new, loss_new, h_new, rows_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_step < step_tol or rel_decrease < decrease_tol:
+                if rel_step < _LM_STEP_TOL or rel_decrease < _LM_DECREASE_TOL:
                     return theta, loss, iteration, True
                 break
             lam *= 10.0
         if not accepted:
             return theta, loss, iteration, False
 
-    return theta, loss, max_iter, False
+    return theta, loss, _LM_MAX_ITER, False
 
 
 def _run_lockstep(
@@ -295,32 +298,28 @@ def fit_derivative_matching(
     return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
 
 
-def _trajectory_start(
-    system: OdeSystem, trajectory: Trajectory, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
+def _trajectory_start(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:
     """Where trajectory matching starts: derivative matching's estimate,
-    clipped into the box [lo, hi].
+    clipped into the system's box.
 
     Derivative matching uses the trajectory's own ``derivs`` when it has
     them and finite differences when it does not.  When neither is possible
     (no ``derivs``, and a non-uniform grid or fewer than 3 points) the start
     is the box midpoint.
     """
-    midpoint = 0.5 * (lo + hi)
+    midpoint = system.param_midpoint
     try:
         derivs = _target_derivatives(trajectory, None)
     except InvalidArgumentError:
         return midpoint
     fit = fit_derivative_matching(system, trajectory, theta0=midpoint, derivs=derivs)
-    return np.clip(fit.theta_hat, lo, hi)
+    return np.clip(fit.theta_hat, system.param_lo, system.param_hi)
 
 
 def _fit_trajectories(
     system: OdeSystem,
     trajectories: Sequence[Trajectory],
     starts: Sequence[np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
 ) -> list[Optional[FitResult]]:
     """Trajectory matching of several trajectories on one grid, in lockstep.
 
@@ -338,7 +337,7 @@ def _fit_trajectories(
     x0s = np.stack([t.states[0] for t in trajectories])
 
     def project(theta):
-        return np.clip(theta, lo, hi)
+        return np.clip(theta, system.param_lo, system.param_hi)
 
     def evaluate(indices, blocks):
         sizes = [b.shape[0] for b in blocks]
@@ -365,28 +364,24 @@ def fit_trajectory_matching(
     system: OdeSystem,
     trajectory: Trajectory,
     theta0: Optional[np.ndarray] = None,
-    param_box: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> FitResult:
     """Match the simulated path to the observed one.
 
-    Minimizes ||F(theta) - x||^2 over the parameter box, where F integrates
-    the candidate parameters from the trajectory's first state over its own
-    grid.  Levenberg-Marquardt, projected into the box, runs once from
-    ``theta0``; by default from derivative matching's estimate clipped into
-    the box, or from the box midpoint when the trajectory has no ``derivs``
-    and finite differences cannot be taken.  Candidates whose integration
+    Minimizes ||F(theta) - x||^2 over the system's parameter box, where F
+    integrates the candidate parameters from the trajectory's first state
+    over its own grid.  Levenberg-Marquardt, projected into the box, runs
+    once from ``theta0``; by default from derivative matching's estimate
+    clipped into the box, or from the box midpoint when the trajectory has
+    no ``derivs`` and finite differences cannot be taken.  Candidates whose integration
     diverges are rejected; if the start itself diverges an
     :class:`EstimationFailureError` is raised.
     """
     _check_trajectory(system, trajectory)
-    lo, hi = param_box if param_box is not None else (system.param_lo, system.param_hi)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     if theta0 is None:
-        start = _trajectory_start(system, trajectory, lo, hi)
+        start = _trajectory_start(system, trajectory)
     else:
         start = np.asarray(theta0, dtype=float)
-    [fit] = _fit_trajectories(system, [trajectory], [start], lo, hi)
+    [fit] = _fit_trajectories(system, [trajectory], [start])
     if fit is None:
         raise EstimationFailureError(
             f"{system.id}: the start's integration diverged; no estimate available"
@@ -419,7 +414,7 @@ def benchmark_rmse(
     excluded from the mean/std.
 
     Everything is a pure function of the arguments: the same call returns
-    identical reports, wall time aside.  Closed and deriv fits run one draw
+    identical reports.  Closed and deriv fits run one draw
     after another; trajectory matching fits all draws of a system in
     lockstep.
     """
@@ -437,7 +432,6 @@ def benchmark_rmse(
             raise UnsupportedOperationError(
                 f"{system.id}: closed-form estimation requires a field linear in theta"
             )
-        tic = time.perf_counter()
         draws = sample_parameters(system, n_draws, seed)
         thetas = np.stack([d.theta for d in draws])
         grid = TimeGrid.uniform(0.0, system.t_max, grid_points)
@@ -463,9 +457,8 @@ def benchmark_rmse(
         if method == METHOD_TRAJ:
             simulable = [i for i in range(n_draws) if ok[i]]
             trajs = [trajectory(i) for i in simulable]
-            lo, hi = system.param_lo, system.param_hi
-            starts = [_trajectory_start(system, t, lo, hi) for t in trajs]
-            fits = dict(zip(simulable, _fit_trajectories(system, trajs, starts, lo, hi)))
+            starts = [_trajectory_start(system, t) for t in trajs]
+            fits = dict(zip(simulable, _fit_trajectories(system, trajs, starts)))
             results = [rmse(i, fits.get(i)) for i in range(n_draws)]
         else:
             fit_fn = fit_closed_form if method == METHOD_CLOSED else fit_derivative_matching
@@ -491,7 +484,6 @@ def benchmark_rmse(
                 rmse_mean=float(rmses.mean()) if rmses.size else float("nan"),
                 rmse_std=float(rmses.std()) if rmses.size else float("nan"),
                 n_failures=n_failures,
-                wall_time_s=time.perf_counter() - tic,
             )
         )
     return reports

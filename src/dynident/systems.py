@@ -15,7 +15,7 @@ vector e_i, so no system states its field twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -294,32 +294,17 @@ def eval_vector_field(system: OdeSystem, theta: np.ndarray, x: np.ndarray) -> np
     return out
 
 
-def sample_parameters(
-    system: OdeSystem,
-    n: int,
-    seed: int,
-    box: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> list[ParameterDraw]:
-    """Draw ``n`` parameter vectors uniformly from the box.
+def sample_parameters(system: OdeSystem, n: int, seed: int) -> list[ParameterDraw]:
+    """Draw ``n`` parameter vectors uniformly from the system's box.
 
     A pure function of (system, n, seed): repeated calls return identical
-    draws.  ``box`` overrides the catalog box; the override may be degenerate
-    (lo == hi), in which case every draw equals lo.
+    draws.
     """
     if n < 1:
         raise InvalidArgumentError("sample_parameters: n must be >= 1")
-    if box is None:
-        lo, hi = system.param_lo, system.param_hi
-    else:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if lo.shape != (system.param_dim,) or hi.shape != (system.param_dim,):
-            raise InvalidArgumentError("sample_parameters: override box shape mismatch")
-        if np.any(lo > hi):
-            raise InvalidArgumentError("sample_parameters: override box requires lo <= hi")
     rng = substream(seed, "params", system.id)
     u = rng.random((n, system.param_dim))
-    thetas = lo + u * (hi - lo)
+    thetas = system.param_lo + u * (system.param_hi - system.param_lo)
     return [ParameterDraw(system_id=system.id, theta=t) for t in thetas]
 
 

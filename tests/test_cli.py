@@ -47,7 +47,6 @@ def _report(**kw):
         rmse_mean=0.0234,
         rmse_std=0.0161,
         n_failures=0,
-        wall_time_s=3.2,
     )
     base.update(kw)
     return EstimateReport(**base)
@@ -148,7 +147,6 @@ def test_emit_report_csv_and_md_share_values(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert tuple(rows[0].keys()) == _REPORT_COLUMNS
-    assert "wall_time_s" not in rows[0]
     assert float(rows[0]["rmse_mean"]) == 0.0234
 
     md = md_path.read_text()
@@ -627,6 +625,31 @@ def test_report_rejects_a_non_numeric_cell(tmp_path, capsys):
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith("dynident: config: input: ")
     assert "'abc'" in err
+
+
+def test_report_rejects_a_file_that_is_not_utf8_text(tmp_path, capsys):
+    draws = tmp_path / "draws.npz"
+    assert main(["simulate", "--system", "ode2", "--draws", "2", "--out", str(draws)]) == 0
+    capsys.readouterr()
+    rc = main(["report", "--in", str(draws), "--out", str(tmp_path / "x.md")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("dynident: config: input: ")
+    assert not (tmp_path / "x.md").exists()
+
+
+@pytest.mark.parametrize("jitter", ["1.0", "1.5", "-0.1"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--system", "ode2", "--draws", "3", "--seed", "1"],
+    ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "4"],
+])
+def test_x0_jitter_outside_the_unit_interval_exits_1(tmp_path, capsys, command, jitter):
+    out = tmp_path / "out.npz"
+    rc = main(command + ["--x0-jitter", jitter, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "dynident: config: x0_jitter: must be in [0, 1)\n"
+    assert not out.exists()
 
 
 def test_missing_data_file_exits_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "demo, proof",
     [
         ("known_form_identification.py", "| system | draws |"),
-        ("causal_probes.py", "recovered (isotonic):"),
+        ("causal_probes.py", "recovered change ratios:"),
         ("solver_preprocessing.py", "ratios between successive halvings:"),
     ],
 )

@@ -163,13 +163,12 @@ def test_trajectory_matching_starts_at_the_midpoint_without_derivatives():
     assert np.max(np.abs(res.theta_hat - truth)) <= 1e-3
 
 
-def test_trajectory_matching_stays_in_custom_box():
+def test_trajectory_matching_stays_in_the_catalog_box():
     s = get_system("ode3")
-    truth = np.array([1.0, 2.0])
-    traj = integrate(s, truth)
-    lo, hi = np.array([1.2, 2.5]), np.array([2.0, 4.0])  # excludes the truth
-    res = fit_trajectory_matching(s, traj, param_box=(lo, hi))
-    assert np.all(res.theta_hat >= lo) and np.all(res.theta_hat <= hi)
+    truth = np.array([0.4, 0.8])
+    assert np.all(truth < s.param_lo)  # the truth lies outside the box
+    res = fit_trajectory_matching(s, integrate(s, truth))
+    assert np.all(res.theta_hat >= s.param_lo) and np.all(res.theta_hat <= s.param_hi)
 
 
 # --- benchmark -------------------------------------------------------------------

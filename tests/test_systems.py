@@ -165,14 +165,6 @@ def test_sampling_stays_in_box_and_fills_it():
     assert np.all(thetas.max(axis=0) > s.param_hi - 0.02 * width)
 
 
-def test_sampling_degenerate_override_box():
-    s = get_system("ode2")
-    point = np.array([1.25])
-    draws = sample_parameters(s, 5, seed=0, box=(point, point))
-    for d in draws:
-        np.testing.assert_array_equal(d.theta, point)
-
-
 def test_sampling_rejects_bad_n():
     with pytest.raises(InvalidArgumentError):
         sample_parameters(get_system("ode2"), 0, seed=1)
