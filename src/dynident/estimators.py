@@ -15,25 +15,28 @@ Three routes, in increasing generality and cost:
   generating parameters when evaluated on a trajectory produced by the same
   integrator settings.
 
-There is one Levenberg-Marquardt implementation, a generator that yields
-each point it needs residuals at together with the point's forward-difference
-perturbations, so a candidate and the Jacobian there cost one evaluation.
-A small lockstep loop runs many such solvers at once, evaluating the
-pending points of all of them in one call; a single fit is that loop
-applied to a batch of one.
+There is one Levenberg-Marquardt implementation, and it fits many problems
+at once.  Each round, every unfinished problem evaluates one block, its
+candidate followed by the candidate's forward-difference perturbations, so
+a candidate and the Jacobian there cost one evaluation; the blocks of all
+problems go into a single residual call.  Every per-problem reduction is a
+stacked ``matmul`` or ``linalg.solve``, so a problem's iterates do not
+depend on what else is in the batch, and a single fit is a batch of one.
 
 ``benchmark_rmse`` wraps any of these in the sampled-draw protocol: draw
 parameters uniformly from the box, simulate, estimate, and report the mean
 and standard deviation of ||theta_hat - theta||_2 / sqrt(N) per system.
-Trajectory matching runs every draw of a system in lockstep, one
-``integrate_batch`` call per round, each draw from its own
-derivative-matching start.
+It fits all simulable draws of a system at once: closed form as one stack
+of least-squares solves, derivative matching as one Levenberg-Marquardt run
+with one field call per round, and trajectory matching as one run with one
+``integrate_batch`` call per round, started from one batched
+derivative-matching run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401 -- unused; benchmarks/layers.py patches it
@@ -100,112 +103,137 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (K, n) stacks, by stacked matmul."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _damped_steps(
+    hess: np.ndarray, grad: np.ndarray, damp: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (H + lam diag(damp)) step = -grad for a stack of problems.
+
+    Returns the steps and a mask of the problems whose damped matrix LAPACK
+    found singular; their steps are undefined.  One singular matrix fails
+    the stacked solve, so the stack is then solved one problem at a time.
+    """
+    a = hess.copy()
+    diag = np.arange(hess.shape[1])
+    a[:, diag, diag] += lam[:, None] * damp
+    b = -grad[:, :, None]
+    try:
+        return np.linalg.solve(a, b)[:, :, 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros(grad.shape)
+    singular = np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
+        try:
+            steps[k] = np.linalg.solve(a[k : k + 1], b[k : k + 1])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return steps, singular
+
+
 def _levenberg_marquardt(
-    theta0: np.ndarray,
+    starts: np.ndarray,
+    residuals: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Generator[np.ndarray, list, tuple[np.ndarray, float, int, bool]]:
-    """Minimize ||r(theta)||^2 with damped Gauss-Newton steps.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||r_k(theta)||^2 with damped Gauss-Newton steps, for K
+    problems at once.
 
-    A generator: whenever it needs residuals it yields an (N+1, N) block
-    holding the point (the start or a candidate) followed by its N
-    forward-difference perturbations, and expects the residuals of those
-    rows sent back, None marking an infeasible row (e.g. a diverged
-    integration); infeasible candidates are rejected.  The Jacobian at a
-    candidate thus arrives with the candidate itself and goes unused if the
-    candidate is rejected.  Damping follows the classic schedule: multiply by
-    10 on rejection, divide by 10 on acceptance, starting from 1e-3; at most
-    100 iterations run.  Returns ``(theta, loss, iterations, converged)``; run it with
-    :func:`_run_lockstep`.
+    ``starts`` is a (K, N) array.  ``residuals(owner, thetas)`` gets (M, N)
+    points, ``owner[m]`` naming the problem that row m belongs to, and
+    returns their (M, R) residuals; a NaN row marks an infeasible point
+    (e.g. a diverged integration).  Each round, every unfinished problem
+    evaluates one block: its point (the start or a candidate) followed by
+    the point's N forward-difference perturbations, so a candidate and the
+    Jacobian there cost one evaluation, and the blocks of all problems go
+    into one ``residuals`` call.  An infeasible perturbation gives a zero
+    Jacobian column and an infeasible candidate is rejected; a problem whose
+    start is infeasible stops with infinite loss.
+
+    Damping follows the classic schedule: it starts at 1e-3, is multiplied
+    by 10 on a rejection or a singular damped solve (which evaluates
+    nothing) and divided by 10 on an acceptance; a problem gives up once it
+    exceeds 1e10, and at most 100 iterations run.  Every reduction is a
+    stacked ``matmul`` or ``linalg.solve``, so each problem's iterates are
+    the same bits whatever else is in the batch.  Returns ``(theta, loss,
+    iterations, converged)`` as arrays over the K problems.
     """
+    clip = project if project is not None else (lambda th: th)
+    theta = clip(np.array(starts, dtype=float))
+    n_problems, n_params = theta.shape
 
-    def _project(th):
-        return project(th) if project is not None else th
+    def evaluate(owners, points):
+        """Feasibility of and loss at each point, and the normal equations there."""
+        h = 1e-7 * np.maximum(1.0, np.abs(points))
+        block = points[:, None, :] + np.eye(n_params + 1, n_params, k=-1) * h[:, None, :]
+        rows = residuals(np.repeat(owners, n_params + 1), block.reshape(-1, n_params))
+        rows = rows.reshape(len(owners), n_params + 1, -1)
+        feasible = ~np.isnan(rows).any(axis=2)
+        loss = np.where(feasible[:, 0], _dot(rows[:, 0], rows[:, 0]), np.inf)
+        # Each problem's Jacobian is a C-ordered (R, N) matrix.  BLAS sums in
+        # an order that depends on the layout, and this one keeps the
+        # estimates of earlier releases bit for bit.
+        jac = np.empty((len(owners), rows.shape[2], n_params))
+        jac_t = jac.transpose(0, 2, 1)
+        with np.errstate(all="ignore"):
+            np.subtract(rows[:, 1:], rows[:, :1], out=jac_t)
+            jac_t /= h[:, :, None]
+        jac_t[~feasible[:, 1:]] = 0.0
+        grad = (jac_t @ rows[:, 0, :, None])[:, :, 0]
+        return feasible[:, 0], loss, grad, jac_t @ jac
 
-    def _block(th):
-        h = 1e-7 * np.maximum(1.0, np.abs(th))
-        return h, th + np.eye(th.size + 1, th.size, k=-1) * h
+    feasible, loss, grad, hess = evaluate(np.arange(n_problems), theta)
+    iterations = np.zeros(n_problems, dtype=int)
+    converged = np.zeros(n_problems, dtype=bool)
+    done = ~feasible
+    fresh = ~done  # problems at a new point, whose gradient is not yet tested
+    lam = np.full(n_problems, _LM_LAM0)
+    candidate = np.zeros((n_problems, n_params))
 
-    theta = _project(np.asarray(theta0, dtype=float).copy())
-    h, block = _block(theta)
-    rows = yield block
-    r = rows[0]
-    if r is None:
-        return theta, np.inf, 0, False
-    loss = float(r @ r)
-    lam = _LM_LAM0
-    n_params = theta.size
+    while True:
+        new = np.flatnonzero(fresh)
+        fresh[new] = False
+        iterations[new] += 1
+        at_rest = np.sqrt(_dot(grad[new], grad[new])) <= 1e-14 * (1.0 + loss[new])
+        done[new[at_rest]] = converged[new[at_rest]] = True
 
-    for iteration in range(1, _LM_MAX_ITER + 1):
-        jac = np.zeros((r.size, n_params))
-        for i, rp in enumerate(rows[1:]):
-            if rp is not None:
-                jac[:, i] = (rp - r) / h[i]
+        pending = np.flatnonzero(~done)
+        while pending.size:
+            given_up = lam[pending] > 1e10
+            done[pending[given_up]] = True
+            pending = pending[~given_up]
+            damp = np.maximum(np.diagonal(hess[pending], axis1=1, axis2=2), 1e-12)
+            steps, singular = _damped_steps(hess[pending], grad[pending], damp, lam[pending])
+            solved = pending[~singular]
+            candidate[solved] = clip(theta[solved] + steps[~singular])
+            pending = pending[singular]
+            lam[pending] *= 10.0
 
-        grad = jac.T @ r
-        if np.linalg.norm(grad) <= 1e-14 * (1.0 + loss):
-            return theta, loss, iteration, True
+        active = np.flatnonzero(~done)
+        if not active.size:
+            break
+        _, loss_new, grad_new, hess_new = evaluate(active, candidate[active])
+        accept = loss_new <= loss[active]
+        lam[active[~accept]] *= 10.0
 
-        hess = jac.T @ jac
-        damp = np.maximum(np.diag(hess), 1e-12)
+        a = active[accept]
+        step = candidate[a] - theta[a]
+        rel_step = np.sqrt(_dot(step, step)) / (1.0 + np.sqrt(_dot(theta[a], theta[a])))
+        rel_decrease = (loss[a] - loss_new[accept]) / np.maximum(loss[a], 1e-300)
+        theta[a], loss[a] = candidate[a], loss_new[accept]
+        grad[a], hess[a] = grad_new[accept], hess_new[accept]
+        lam[a] = np.maximum(lam[a] / 10.0, 1e-12)
+        small = (rel_step < _LM_STEP_TOL) | (rel_decrease < _LM_DECREASE_TOL)
+        done[a[small]] = converged[a[small]] = True
+        done[a[iterations[a] == _LM_MAX_ITER]] = True
+        fresh[a[~done[a]]] = True
 
-        accepted = False
-        while lam <= 1e10:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(damp), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            candidate = _project(theta + step)
-            h_new, block = _block(candidate)
-            rows_new = yield block
-            r_new = rows_new[0]
-            loss_new = np.inf if r_new is None else float(r_new @ r_new)
-            if loss_new <= loss:
-                actual_step = candidate - theta
-                rel_step = np.linalg.norm(actual_step) / (1.0 + np.linalg.norm(theta))
-                rel_decrease = (loss - loss_new) / max(loss, 1e-300)
-                theta, r, loss, h, rows = candidate, r_new, loss_new, h_new, rows_new
-                lam = max(lam / 10.0, 1e-12)
-                accepted = True
-                if rel_step < _LM_STEP_TOL or rel_decrease < _LM_DECREASE_TOL:
-                    return theta, loss, iteration, True
-                break
-            lam *= 10.0
-        if not accepted:
-            return theta, loss, iteration, False
-
-    return theta, loss, _LM_MAX_ITER, False
-
-
-def _run_lockstep(
-    solvers: Sequence[Generator],
-    evaluate: Callable[[list[int], list[np.ndarray]], list[list]],
-) -> list[tuple[np.ndarray, float, int, bool]]:
-    """Run :func:`_levenberg_marquardt` generators together.
-
-    Each round collects the pending block of every unfinished solver and
-    hands them to ``evaluate(indices, blocks)`` in one call, which returns
-    the residuals of each block; each solver then gets its own back.
-    Returns the solvers' results in order.
-    """
-    results: list = [None] * len(solvers)
-    pending: dict[int, np.ndarray] = {}
-
-    def advance(i, rows):
-        try:
-            pending[i] = solvers[i].send(rows)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(solvers)):
-        advance(i, None)
-    while pending:
-        indices = list(pending)
-        blocks = [pending.pop(i) for i in indices]
-        for i, rows in zip(indices, evaluate(indices, blocks)):
-            advance(i, rows)
-    return results
+    return theta, loss, iterations, converged
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +260,27 @@ def _target_derivatives(trajectory: Trajectory, derivs: Optional[np.ndarray]) ->
     return estimate_derivatives(trajectory)
 
 
+def _closed_form_fits(
+    system: OdeSystem, states: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form fits of K trajectories at once.
+
+    ``states`` and ``targets`` (their derivatives) are (K, T, d) stacks.
+    Returns ``(theta, loss, cond)`` over the K fits; a fit whose Gram
+    matrix has a condition number above 1e12 (or not finite) is not solved
+    and holds NaN.
+    """
+    phi = basis_matrix(system, states)  # (K, N, T*d)
+    xdot = targets.reshape(len(targets), -1, 1)
+    gram = phi @ phi.transpose(0, 2, 1)
+    cond = np.linalg.cond(gram)
+    good = cond <= _COND_LIMIT  # False for inf and NaN too
+    theta = np.full((len(phi), system.param_dim), np.nan)
+    theta[good] = np.linalg.solve(gram[good], (phi @ xdot)[good])[:, :, 0]
+    resid = (phi.transpose(0, 2, 1) @ theta[:, :, None] - xdot)[:, :, 0]
+    return theta, _dot(resid, resid), cond
+
+
 def fit_closed_form(
     system: OdeSystem,
     trajectory: Trajectory,
@@ -247,23 +296,35 @@ def fit_closed_form(
     number above 1e12.
     """
     _check_trajectory(system, trajectory)
-    xdot = _target_derivatives(trajectory, derivs).reshape(-1)
-    phi = basis_matrix(system, trajectory.states)  # (N, T*d)
-    gram = phi @ phi.T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    xdot = _target_derivatives(trajectory, derivs)
+    [theta_hat], [loss], [cond] = _closed_form_fits(system, trajectory.states[None], xdot[None])
+    if not cond <= _COND_LIMIT:
         raise IllConditionedError(
             f"{system.id}: basis Gram matrix condition {cond:.3g} exceeds {_COND_LIMIT:.0e}"
         )
-    theta_hat = np.linalg.solve(gram, phi @ xdot)
-    resid = phi.T @ theta_hat - xdot
-    return FitResult(
-        theta_hat=theta_hat,
-        loss_final=float(resid @ resid),
-        method=METHOD_CLOSED,
-        iterations=0,
-        converged=True,
-    )
+    return FitResult(theta_hat, float(loss), METHOD_CLOSED, 0, True)
+
+
+def _derivative_fits(
+    system: OdeSystem, states: np.ndarray, targets: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Derivative matching of K trajectories at once, by one
+    :func:`_levenberg_marquardt` run.
+
+    ``states`` and ``targets`` are (K, T, d) stacks and ``starts`` is
+    (K, N); each round makes one field call for the blocks of all fits.
+    """
+    flat = targets.reshape(len(targets), -1)
+
+    def residuals(owner, thetas):
+        with np.errstate(all="ignore"):
+            diff = system.field(thetas[:, None, :], states[owner]).reshape(len(owner), -1)
+            infeasible = ~np.isfinite(diff).all(axis=1)
+            diff -= flat[owner]
+        diff[infeasible] = np.nan
+        return diff
+
+    return _levenberg_marquardt(starts, residuals)
 
 
 def fit_derivative_matching(
@@ -275,89 +336,51 @@ def fit_derivative_matching(
     """Regress the parametric field onto observed derivatives.
 
     Minimizes sum_t ||f(theta, x_t) - xdot_t||^2 by Levenberg-Marquardt
-    starting from the parameter-box midpoint.  No integration is performed,
-    so cost per iteration is a handful of vectorized field evaluations.
+    starting from ``theta0``, by default the parameter-box midpoint.  No
+    integration is performed, so cost per iteration is one vectorized field
+    evaluation at the candidate and its perturbations.
     """
     _check_trajectory(system, trajectory)
     target = _target_derivatives(trajectory, derivs)
-    target_flat = target.reshape(-1)
-    states = trajectory.states
     start = system.param_midpoint if theta0 is None else np.asarray(theta0, dtype=float)
-
-    def evaluate(indices, blocks):
-        thetas = blocks[0]
-        with np.errstate(all="ignore"):
-            pred = system.field(thetas[:, None, :], states).reshape(len(thetas), -1)
-        finite = np.isfinite(pred).all(axis=1)
-        diff = pred - target_flat
-        return [[d if ok else None for d, ok in zip(diff, finite)]]
-
-    [(theta_hat, loss, iters, converged)] = _run_lockstep(
-        [_levenberg_marquardt(start)], evaluate
+    [theta_hat], [loss], [iters], [converged] = _derivative_fits(
+        system, trajectory.states[None], target[None], start[None]
     )
-    return FitResult(theta_hat, loss, METHOD_DERIV, iters, converged)
+    return FitResult(theta_hat, float(loss), METHOD_DERIV, int(iters), bool(converged))
 
 
-def _trajectory_start(system: OdeSystem, trajectory: Trajectory) -> np.ndarray:
-    """Where trajectory matching starts: derivative matching's estimate,
-    clipped into the system's box.
-
-    Derivative matching uses the trajectory's own ``derivs`` when it has
-    them and finite differences when it does not.  When neither is possible
-    (no ``derivs``, and a non-uniform grid or fewer than 3 points) the start
-    is the box midpoint.
-    """
-    midpoint = system.param_midpoint
-    try:
-        derivs = _target_derivatives(trajectory, None)
-    except InvalidArgumentError:
-        return midpoint
-    fit = fit_derivative_matching(system, trajectory, theta0=midpoint, derivs=derivs)
-    return np.clip(fit.theta_hat, system.param_lo, system.param_hi)
+def _trajectory_starts(system: OdeSystem, states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Where trajectory matching starts: derivative matching's estimate from
+    the box midpoint, clipped into the box, for a (K, T, d) stack."""
+    midpoints = np.tile(system.param_midpoint, (len(states), 1))
+    theta = _derivative_fits(system, states, targets, midpoints)[0]
+    return np.clip(theta, system.param_lo, system.param_hi)
 
 
 def _fit_trajectories(
-    system: OdeSystem,
-    trajectories: Sequence[Trajectory],
-    starts: Sequence[np.ndarray],
-) -> list[Optional[FitResult]]:
-    """Trajectory matching of several trajectories on one grid, in lockstep.
+    system: OdeSystem, grid: TimeGrid, observed: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trajectory matching of K observed (T, d) paths on one grid at once.
 
-    One Levenberg-Marquardt solver per trajectory, projected into the box
-    and run once from its start; every round integrates the pending blocks
-    of all of them in a single :func:`integrate_batch` call, each row from
-    its own trajectory's first state.  Rows never mix, so each fit is
-    exactly what it would be alone.  A fit whose start diverges comes back
-    as None.
+    One :func:`_levenberg_marquardt` run, projected into the box, from
+    ``starts`` (K, N); every round integrates the blocks of all fits in a
+    single :func:`integrate_batch` call, each row from its own path's first
+    state.  Rows never mix, so each fit is exactly what it would be alone.
+    A fit whose start diverges ends with infinite loss.
     """
-    if not trajectories:
-        return []
-    grid = trajectories[0].grid
-    obs_flat = [t.states.reshape(-1) for t in trajectories]
-    x0s = np.stack([t.states[0] for t in trajectories])
+    obs_flat = observed.reshape(len(observed), -1)
+    x0s = observed[:, 0]
 
     def project(theta):
         return np.clip(theta, system.param_lo, system.param_hi)
 
-    def evaluate(indices, blocks):
-        sizes = [b.shape[0] for b in blocks]
-        states, _, ok, _ = integrate_batch(
-            system, np.concatenate(blocks), np.repeat(x0s[indices], sizes, axis=0), grid
-        )
-        out, row = [], 0
-        for i, n in zip(indices, sizes):
-            out.append([
-                states[k].reshape(-1) - obs_flat[i] if ok[k] else None
-                for k in range(row, row + n)
-            ])
-            row += n
-        return out
+    def residuals(owner, thetas):
+        states, _, ok, _ = integrate_batch(system, thetas, x0s[owner], grid)
+        diff = states.reshape(len(owner), -1) - obs_flat[owner]
+        diff[~ok] = np.nan
+        return diff
 
-    solvers = [_levenberg_marquardt(s, project=project) for s in starts]
-    return [
-        FitResult(theta_hat, loss, METHOD_TRAJ, iters, converged) if np.isfinite(loss) else None
-        for theta_hat, loss, iters, converged in _run_lockstep(solvers, evaluate)
-    ]
+    return _levenberg_marquardt(starts, residuals, project=project)
 
 
 def fit_trajectory_matching(
@@ -377,21 +400,47 @@ def fit_trajectory_matching(
     :class:`EstimationFailureError` is raised.
     """
     _check_trajectory(system, trajectory)
-    if theta0 is None:
-        start = _trajectory_start(system, trajectory)
-    else:
+    observed = trajectory.states[None]
+    if theta0 is not None:
         start = np.asarray(theta0, dtype=float)
-    [fit] = _fit_trajectories(system, [trajectory], [start])
-    if fit is None:
+    else:
+        try:
+            derivs = _target_derivatives(trajectory, None)
+        except InvalidArgumentError:
+            start = system.param_midpoint
+        else:
+            [start] = _trajectory_starts(system, observed, derivs[None])
+    [theta_hat], [loss], [iters], [converged] = _fit_trajectories(
+        system, trajectory.grid, observed, start[None]
+    )
+    if not np.isfinite(loss):
         raise EstimationFailureError(
             f"{system.id}: the start's integration diverged; no estimate available"
         )
-    return fit
+    return FitResult(theta_hat, float(loss), METHOD_TRAJ, int(iters), bool(converged))
 
 
 # ---------------------------------------------------------------------------
 # Sampled-draw benchmark.
 # ---------------------------------------------------------------------------
+
+
+def _observe(
+    system: OdeSystem, thetas: np.ndarray, grid: TimeGrid, noise: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate the draws ``thetas`` from the canonical initial condition.
+
+    Returns the indices of the draws that did not diverge, their states
+    with i.i.d. Gaussian noise of standard deviation ``noise`` added, and
+    the derivatives to fit: exact without noise, finite differences of the
+    noisy states with it.
+    """
+    states, derivs, ok, _ = integrate_batch(system, thetas, system.x0, grid)
+    if noise > 0:
+        states = states + noise * substream(seed, "noise", system.id).standard_normal(states.shape)
+        derivs = np.array([estimate_derivatives(Trajectory(system.id, grid, x)) for x in states])
+    simulable = np.flatnonzero(ok)
+    return simulable, states[simulable], derivs[simulable]
 
 
 def benchmark_rmse(
@@ -410,13 +459,16 @@ def benchmark_rmse(
     the states with i.i.d. Gaussian noise of standard deviation ``noise``
     (derivatives are then re-estimated numerically), fit with ``method`` and
     record ||theta_hat - theta||_2 / sqrt(N) per draw.  Draws whose
-    simulation diverges or whose fit raises count as failures and are
+    simulation diverges, whose closed-form Gram matrix is ill-conditioned or
+    whose trajectory-matching start diverges count as failures and are
     excluded from the mean/std.
 
     Everything is a pure function of the arguments: the same call returns
-    identical reports.  Closed and deriv fits run one draw
-    after another; trajectory matching fits all draws of a system in
-    lockstep.
+    identical reports.  Each system's simulable draws are fitted at once:
+    closed form as one stack of least-squares problems, derivative and
+    trajectory matching as one Levenberg-Marquardt run (the trajectory fits
+    starting from one derivative-matching run).  Every draw's estimate is
+    the same as one public ``fit_*`` call on that draw alone.
     """
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -435,46 +487,24 @@ def benchmark_rmse(
         draws = sample_parameters(system, n_draws, seed)
         thetas = np.stack([d.theta for d in draws])
         grid = TimeGrid.uniform(0.0, system.t_max, grid_points)
-        states_b, derivs_b, ok, _ = integrate_batch(system, thetas, system.x0, grid)
+        simulable, states, targets = _observe(system, thetas, grid, noise, seed)
 
-        noise_rng = substream(seed, "noise", system.id)
-        noise_draws = (
-            noise * noise_rng.standard_normal(states_b.shape) if noise > 0 else None
-        )
+        # A NaN row marks a failed draw.
+        theta_hat = np.full(thetas.shape, np.nan)
+        if simulable.size and method == METHOD_CLOSED:
+            theta_hat[simulable] = _closed_form_fits(system, states, targets)[0]
+        elif simulable.size and method == METHOD_DERIV:
+            midpoints = np.tile(system.param_midpoint, (len(states), 1))
+            theta_hat[simulable] = _derivative_fits(system, states, targets, midpoints)[0]
+        elif simulable.size:
+            starts = _trajectory_starts(system, states, targets)
+            fitted, loss, _, _ = _fit_trajectories(system, grid, states, starts)
+            fitted[~np.isfinite(loss)] = np.nan
+            theta_hat[simulable] = fitted
 
-        def trajectory(i: int) -> Trajectory:
-            if noise_draws is None:
-                return Trajectory(system.id, grid, states_b[i], derivs=derivs_b[i])
-            traj = Trajectory(system.id, grid, states_b[i] + noise_draws[i])
-            traj.derivs = estimate_derivatives(traj)
-            return traj
-
-        def rmse(i: int, fit: Optional[FitResult]) -> Optional[float]:
-            if fit is None:
-                return None
-            return float(np.linalg.norm(fit.theta_hat - thetas[i]) / np.sqrt(system.param_dim))
-
-        if method == METHOD_TRAJ:
-            simulable = [i for i in range(n_draws) if ok[i]]
-            trajs = [trajectory(i) for i in simulable]
-            starts = [_trajectory_start(system, t) for t in trajs]
-            fits = dict(zip(simulable, _fit_trajectories(system, trajs, starts)))
-            results = [rmse(i, fits.get(i)) for i in range(n_draws)]
-        else:
-            fit_fn = fit_closed_form if method == METHOD_CLOSED else fit_derivative_matching
-
-            def fit_one(i: int) -> Optional[float]:
-                if not ok[i]:
-                    return None
-                try:
-                    return rmse(i, fit_fn(system, trajectory(i)))
-                except (IllConditionedError, EstimationFailureError):
-                    return None
-
-            results = [fit_one(i) for i in range(n_draws)]
-
-        rmses = np.array([r for r in results if r is not None])
-        n_failures = sum(1 for r in results if r is None)
+        err = theta_hat - thetas
+        rmse = np.sqrt(_dot(err, err)) / np.sqrt(system.param_dim)
+        rmses = rmse[~np.isnan(rmse)]
         reports.append(
             EstimateReport(
                 system_id=system.id,
@@ -483,7 +513,7 @@ def benchmark_rmse(
                 noise=noise,
                 rmse_mean=float(rmses.mean()) if rmses.size else float("nan"),
                 rmse_std=float(rmses.std()) if rmses.size else float("nan"),
-                n_failures=n_failures,
+                n_failures=int(rmse.size - rmses.size),
             )
         )
     return reports

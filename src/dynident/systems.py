@@ -313,15 +313,21 @@ def basis_matrix(system: OdeSystem, states: np.ndarray) -> np.ndarray:
 
     Row i holds phi_i(x) = field(e_i, x) evaluated at every grid state,
     flattened time-major then state-component — the same order as
-    flattening the (T, d) state array itself.  All N rows come from one
-    batched field call.
+    flattening the (T, d) state array itself.  A (K, T, d) stack of
+    trajectories gives the (K, N, T*d) stack of their designs.  Each row
+    comes from one field call over all K trajectories.
     """
     if not system.linear:
         raise UnsupportedOperationError(f"{system.id}: field is not declared linear in theta")
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != system.state_dim:
+    if states.ndim not in (2, 3) or states.shape[-1] != system.state_dim:
         raise InvalidArgumentError(
-            f"basis_matrix: states must have shape (T, {system.state_dim}), got {states.shape}"
+            f"basis_matrix: states must have shape (T, {system.state_dim}) or "
+            f"(K, T, {system.state_dim}), got {states.shape}"
         )
     n = system.param_dim
-    return system.field(np.eye(n)[:, None, :], states).reshape(n, -1)
+    lead = states.shape[:-2]
+    phi = np.empty((*lead, n, states.shape[-2] * states.shape[-1]))
+    for i, unit in enumerate(np.eye(n)):
+        phi[..., i, :] = system.field(unit, states).reshape(*lead, -1)
+    return phi

@@ -181,7 +181,7 @@ def test_benchmark_single_draw_has_zero_std():
     assert rep.n_failures == 0
 
 
-def test_benchmark_deterministic_across_calls_and_threads():
+def test_benchmark_deterministic_across_calls():
     a = benchmark_rmse(["ode6"], 8, "deriv", seed=5)[0]
     b = benchmark_rmse(["ode6"], 8, "deriv", seed=5)[0]
     assert a.rmse_mean == b.rmse_mean
@@ -329,12 +329,19 @@ def test_traj_fit_leaves_the_schnakenberg_box_face():
     assert np.linalg.norm(fit.theta_hat - theta) / np.sqrt(s.param_dim) <= 1e-12
 
 
-def _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, grid_points):
-    """The traj benchmark protocol, one public fit per draw.
+_FITS = {
+    "closed": fit_closed_form,
+    "deriv": fit_derivative_matching,
+    "traj": fit_trajectory_matching,
+}
+
+
+def _benchmark_one_fit_at_a_time(method, sid, n_draws, seed, noise, grid_points):
+    """The benchmark protocol, one public fit per draw.
 
     Noise-free draws carry their exact derivatives; noisy ones carry none,
-    so the fit's derivative-matching start takes finite differences, as the
-    benchmark does.
+    so the fit (or trajectory matching's derivative-matching start) takes
+    finite differences, as the benchmark does.
     """
     s = get_system(sid)
     thetas = np.stack([d.theta for d in sample_parameters(s, n_draws, seed)])
@@ -346,14 +353,16 @@ def _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, grid_points):
     for i in range(n_draws):
         traj = Trajectory(s.id, grid, states[i], derivs=None if noise > 0 else derivs[i])
         try:
-            fit = fit_trajectory_matching(s, traj) if ok[i] else None
-        except EstimationFailureError:
+            fit = _FITS[method](s, traj) if ok[i] else None
+        except (EstimationFailureError, IllConditionedError):
             fit = None
         if fit is None:
             failures += 1
         else:
             rmses.append(np.linalg.norm(fit.theta_hat - thetas[i]) / np.sqrt(s.param_dim))
     rmses = np.array(rmses)
+    if not rmses.size:
+        return float("nan"), float("nan"), failures
     return float(rmses.mean()), float(rmses.std()), failures
 
 
@@ -368,10 +377,10 @@ def _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, grid_points):
     ],
 )
 def test_lockstep_traj_benchmark_matches_one_fit_at_a_time(sid, n_draws, seed, noise):
-    """Lockstep fitting of all draws gives bit-identical reports.
+    """Fitting all draws of a cell at once gives bit-identical reports.
 
     ``blowup_traj`` diverges for theta > 1/3, so some draws fail to simulate
-    and some candidate rows diverge inside a lockstep batch.
+    and some candidate rows diverge inside a batch.
     """
     blowup = OdeSystem(
         id="blowup_traj",
@@ -385,10 +394,162 @@ def test_lockstep_traj_benchmark_matches_one_fit_at_a_time(sid, n_draws, seed, n
     CATALOG[blowup.id] = blowup
     try:
         rep = benchmark_rmse([sid], n_draws, "traj", seed, noise=noise, grid_points=20)[0]
-        expected = _traj_benchmark_one_fit_at_a_time(sid, n_draws, seed, noise, 20)
+        expected = _benchmark_one_fit_at_a_time("traj", sid, n_draws, seed, noise, 20)
     finally:
         del CATALOG[blowup.id]
     got = (rep.rmse_mean, rep.rmse_std, rep.n_failures)
     assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
     if sid == blowup.id:
         assert 0 < rep.n_failures < n_draws
+
+
+def _log_blowup_field(seen):
+    """x' = log(theta) x^2, which diverges before t = 3 for theta > e^(1/3)
+    and is NaN for theta < 0.  ``seen`` records, for each call on whole
+    (T, d) paths (not the RK4 steps), its count of non-finite paths and its
+    count of paths."""
+
+    def field(th, x):
+        with np.errstate(all="ignore"):
+            out = np.log(th[..., 0:1]) * x**2
+        if out.ndim == 3:
+            finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+            seen.append((int((~finite).sum()), len(out)))
+        return out
+
+    return field
+
+
+@pytest.mark.parametrize(
+    "method, sid, n_draws, seed, noise",
+    [
+        ("deriv", "ode6", 12, 4, 0.0),
+        ("deriv", "ode6", 12, 4, 1e-3),
+        ("deriv", "ode27", 12, 4, 0.0),
+        ("deriv", "ode27", 12, 4, 1e-3),
+        ("deriv", "blowup_deriv", 10, 2, 0.0),
+        ("deriv", "blowup_log", 10, 2, 0.0),
+        ("closed", "ode31", 12, 4, 0.0),
+        ("closed", "ode31", 12, 4, 1e-3),
+        ("closed", "dup_basis", 6, 1, 0.0),
+    ],
+)
+def test_batched_deriv_and_closed_benchmark_match_one_fit_at_a_time(
+    method, sid, n_draws, seed, noise
+):
+    """Fitting all draws of a cell at once gives bit-identical reports.
+
+    ``blowup_deriv`` (x' = theta x^2) diverges for theta > 1/3, so some
+    draws fail to simulate.  Its simulable states stay below the overflow
+    guard, so no derivative-matching candidate goes non-finite;
+    ``blowup_log`` also diverges and its candidates below 0 are NaN, so some
+    rows of a batch are infeasible while others are not.  Every draw of
+    ``dup_basis`` has a singular Gram matrix and fails.
+    """
+    seen = []
+    probes = [
+        OdeSystem(
+            id="blowup_deriv",
+            name="blow-up probe for derivative matching",
+            field=lambda th, x: th[..., 0:1] * x**2,
+            param_lo=np.array([0.01]),
+            param_hi=np.array([1.0]),
+            x0=[1.0],
+            t_max=3.0,
+        ),
+        OdeSystem(
+            id="blowup_log",
+            name="blow-up probe with a logarithmic rate",
+            field=_log_blowup_field(seen),
+            param_lo=np.array([0.1]),
+            param_hi=np.array([2.0]),
+            x0=[1.0],
+            t_max=3.0,
+        ),
+        OdeSystem(
+            id="dup_basis",
+            name="duplicated basis function",
+            field=lambda th, x: (th[..., 0:1] + th[..., 1:2]) * x,
+            param_lo=np.array([0.5, 0.5]),
+            param_hi=np.array([2.0, 2.0]),
+            x0=[1.0],
+            t_max=1.0,
+            linear=True,
+        ),
+    ]
+    for probe in probes:
+        CATALOG[probe.id] = probe
+    try:
+        rep = benchmark_rmse([sid], n_draws, method, seed, noise=noise, grid_points=20)[0]
+        batched = list(seen)
+        expected = _benchmark_one_fit_at_a_time(method, sid, n_draws, seed, noise, 20)
+    finally:
+        for probe in probes:
+            del CATALOG[probe.id]
+    got = (rep.rmse_mean, rep.rmse_std, rep.n_failures)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+    if sid.startswith("blowup"):
+        assert 0 < rep.n_failures < n_draws
+    if sid == "blowup_log":
+        # the first call is the simulation's exact derivatives; the rest are
+        # derivative matching's
+        assert any(0 < bad < rows for bad, rows in batched[1:])
+    if sid == "dup_basis":
+        assert rep.n_failures == n_draws
+
+
+def test_a_singular_damped_solve_raises_only_that_problems_damping(monkeypatch):
+    """When LAPACK finds one problem's damped matrix singular, the stacked
+    solve fails; that problem alone retries with ten times the damping
+    before anything is evaluated, and the other problems of the batch end
+    bit-identical to an unpatched run."""
+    from dynident import estimators
+
+    offsets = np.array([1.0, 1.5, 2.0])
+    starts = np.array([[-1.2, 1.0], [0.5, 0.5], [2.0, -1.0]])
+    events, solved = [], []
+
+    def residuals(owner, thetas):
+        """Rosenbrock's residuals, with minimum (c, c^2) for problem offset c."""
+        events.append("evaluate")
+        t0, t1 = thetas[:, 0], thetas[:, 1]
+        return np.stack([10.0 * (t1 - t0**2), offsets[owner] - t0], axis=1)
+
+    solve = np.linalg.solve
+
+    def spying(a, b):
+        events.append("solve")
+        solved.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spying)
+    expected = estimators._levenberg_marquardt(starts, residuals)
+    assert solved[0].shape == (3, 2, 2)
+    target = solved[0][1]  # problem 1's first damped matrix
+
+    def failing(a, b):
+        events.append("solve")
+        solved.append(a.copy())
+        if any(np.array_equal(m, target) for m in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    events.clear()
+    solved.clear()
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    got = estimators._levenberg_marquardt(starts, residuals)
+
+    # the failed stack, then problems 0, 1 (failing) and 2 alone, then the
+    # retry of problem 1, all before the second evaluation
+    assert events[:7] == ["evaluate"] + ["solve"] * 5 + ["evaluate"]
+    assert [m.shape[0] for m in solved[:5]] == [3, 1, 1, 1, 1]
+    retry = solved[4][0]
+    assert np.array_equal(solved[2][0], target)
+    off_diagonal = ~np.eye(2, dtype=bool)
+    assert np.array_equal(retry[off_diagonal], target[off_diagonal])
+    # diag(H) (1 + lam) with lam 1e-3, then 1e-2
+    assert np.allclose(np.diag(retry), np.diag(target) * 1.01 / 1.001, rtol=1e-12, atol=0)
+    for k in (0, 2):
+        for g, e in zip(got, expected):
+            assert np.array_equal(g[k], e[k])
+    assert got[3][1]
