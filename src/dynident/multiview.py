@@ -457,7 +457,9 @@ class IdentifierModel:
     buffer, layer by layer, encoders first: a layer's weights for all views
     as one (V, fan_in, fan_out) block, then its biases as (V, fan_out).
     ``encoders`` and ``decoders`` are :class:`_Stack` views into it, so
-    writing through them edits the model.
+    writing through them edits the model.  Training works on a float32 copy
+    of the buffer and writes the result back, so a model, its file and
+    everything computed from it stay float64.
     """
 
     config: IdentifierConfig
@@ -477,13 +479,17 @@ class IdentifierModel:
 
     def stacks(self, buf: np.ndarray) -> tuple[_Stack, _Stack]:
         """The encoder and decoder stacks viewing ``buf``, a buffer laid out
-        as ``params`` (the parameters themselves, or a gradient)."""
+        as ``params`` (the parameters themselves, or a gradient).
+
+        ``buf`` is float64, or float32 for training's working copy and its
+        gradient; the stacks share its dtype.
+        """
         shapes = _block_shapes(self.config, self.prep, self.grid)
         sizes = [math.prod(shape) for shape in shapes]
-        if buf.shape != (sum(sizes),) or buf.dtype != np.float64:
+        if buf.shape != (sum(sizes),) or buf.dtype not in (np.float32, np.float64):
             raise InvalidArgumentError(
                 f"parameter buffer of shape {buf.shape} and dtype {buf.dtype}: the model's "
-                f"config, grid and views call for params of ({sum(sizes)},) float64"
+                f"config, grid and views call for params of ({sum(sizes)},) float32 or float64"
             )
         pieces = np.split(buf, np.cumsum(sizes)[:-1])
         blocks = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
@@ -672,7 +678,7 @@ def _field_mlp(
 
 
 def _field_rollout(
-    dec: _Stack, z: np.ndarray, x0: np.ndarray, steps: np.ndarray
+    dec: _Stack, z: np.ndarray, x0: np.ndarray, steps: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 rollout, one step per grid interval, of the field x' = MLP([z, x]).
 
@@ -680,14 +686,15 @@ def _field_rollout(
     and the states the four stages of each step evaluate the field at,
     (V, T - 1, 4, B, d), for :func:`_field_backward`.  The latent part of
     the first layer, z @ W0[:L] + b0, is the same at every stage, so it is
-    computed once.
+    computed once.  Both outputs have x0's dtype; the step sizes are Python
+    floats, which do not promote a float32 rollout to float64.
     """
     n_views, batch, d = x0.shape
     c = np.matmul(z, dec.weights[0][:, : z.shape[2]])
     c += dec.biases[0][:, None, :]
-    traj = np.empty((n_views, batch, len(steps) + 1, d))
+    traj = np.empty((n_views, batch, len(steps) + 1, d), dtype=x0.dtype)
     traj[:, :, 0] = x0
-    stages = np.empty((n_views, len(steps), 4, batch, d))
+    stages = np.empty((n_views, len(steps), 4, batch, d), dtype=x0.dtype)
     x = traj[:, :, 0]
     for n, h in enumerate(steps):
         s = stages[:, n]
@@ -704,7 +711,7 @@ def _field_rollout(
 
 
 def _field_backward(
-    dec: _Stack, grad: _Stack, z: np.ndarray, steps: np.ndarray, stages: np.ndarray,
+    dec: _Stack, grad: _Stack, z: np.ndarray, steps: Sequence[float], stages: np.ndarray,
     g_traj: np.ndarray,
 ) -> np.ndarray:
     """Reverse pass of :func:`_field_rollout` for d loss / d trajectory ``g_traj``.
@@ -728,9 +735,9 @@ def _field_backward(
     # outputs and their activation derivatives, and every layer's
     # d loss / d pre-activation with its running sum over the steps (for
     # the biases and the latent part of the first layer).
-    hidden = [np.empty((n_views, rows, w.shape[2])) for w in dec.weights[:-1]]
+    hidden = [np.empty((n_views, rows, w.shape[2]), dtype=z.dtype) for w in dec.weights[:-1]]
     derivs = [np.empty_like(h) for h in hidden]
-    deltas = [np.empty((n_views, rows, w.shape[2])) for w in dec.weights]
+    deltas = [np.empty((n_views, rows, w.shape[2]), dtype=z.dtype) for w in dec.weights]
     sums = [np.zeros_like(delta) for delta in deltas]
     for w in grad.weights:
         w[...] = 0.0
@@ -791,10 +798,11 @@ def _standardized_inputs(
     return enc, aux, tgt
 
 
-def _stacked_inputs(model: IdentifierModel, states: np.ndarray) -> list:
-    """(enc_in, aux_in, targets), each (V, n, width), for states (V, n, T, d)."""
+def _stacked_inputs(model: IdentifierModel, states: np.ndarray, dtype=np.float64) -> list:
+    """(enc_in, aux_in, targets), each (V, n, width) of ``dtype``, for
+    states (V, n, T, d)."""
     per_view = [_standardized_inputs(model, states[v], v) for v in range(states.shape[0])]
-    return [np.stack(parts) for parts in zip(*per_view)]
+    return [np.stack(parts, dtype=dtype) for parts in zip(*per_view)]
 
 
 def encode(model: IdentifierModel, states: np.ndarray, view: int) -> np.ndarray:
@@ -834,7 +842,7 @@ def decode_forecast(
     else:
         x0 = np.asarray(init_states, dtype=float).reshape(z.shape[0], d)
         x0 = (x0 - prep.tgt_mean[view]) / prep.tgt_std[view]
-        out = _field_rollout(dec, z[None], x0[None], np.diff(model.grid.points))[0][0]
+        out = _field_rollout(dec, z[None], x0[None], np.diff(model.grid.points).tolist())[0][0]
     std_states = out.reshape(z.shape[0], t_pts, d)
     return std_states * prep.tgt_std[view] + prep.tgt_mean[view]
 
@@ -856,7 +864,9 @@ def _loss(
 
     ``enc_in``, ``aux_in`` and ``targets`` are (V, B, width); ``nets`` are
     the encoder and decoder stacks.  With ``grads`` (stacks of the same
-    layout), d total / d parameter is written there as well.
+    layout), d total / d parameter is written there as well.  The inputs
+    and stacks are all float32 (training) or all float64, and every pass
+    keeps that dtype.
 
     total = reg_align * alignment + sufficiency, where alignment is the mean
     over view pairs of the batch-mean squared shared-block difference and
@@ -874,7 +884,7 @@ def _loss(
         out = _mlp_forward(dec, np.concatenate([z, aux_in], axis=2), saved_dec)
     else:
         d = model.prep.tgt_mean.shape[1]
-        steps = np.diff(model.grid.points)
+        steps = np.diff(model.grid.points).tolist()
         traj, stages = _field_rollout(dec, z, targets[:, :, :d], steps)
         out = traj.reshape(targets.shape)
     resid = out - targets
@@ -952,6 +962,12 @@ def train_identifier(
 ) -> tuple[IdentifierModel, list]:
     """Adam on minibatches; returns (model, per-epoch component history).
 
+    Training computes in float32: the standardized inputs, a working copy
+    of ``params``, its gradient, Adam's moments and every forward and
+    reverse pass.  After the last step the working copy is written back
+    into the model's float64 ``params``; with ``epochs=0`` no step runs and
+    the model is :func:`build_identifier`'s, bit for bit.
+
     Deterministic for fixed (dataset, config, seed): initialization and
     shuffling run on named substreams and all arithmetic is single-threaded.
     Raises :class:`TrainingDivergedError` the moment a batch loss goes
@@ -959,12 +975,13 @@ def train_identifier(
     """
     model = build_identifier(dataset, config, seed)
     n = dataset.n_pairs
-    enc_all, aux_all, tgt_all = _stacked_inputs(model, dataset.states)
+    enc_all, aux_all, tgt_all = _stacked_inputs(model, dataset.states, np.float32)
 
-    nets = model.stacks(model.params)
-    grad = np.empty_like(model.params)
+    params = model.params.astype(np.float32)
+    nets = model.stacks(params)
+    grad = np.empty_like(params)
     grads = model.stacks(grad)
-    opt = ad.adam_init(model.params, lr=config.lr)
+    opt = ad.adam_init(params, lr=config.lr)
     history: list[dict] = []
     batch = min(config.batch_size, n)
 
@@ -987,11 +1004,13 @@ def train_identifier(
                         step=n_steps,
                         components=comps,
                     )
-                ad.adam_step(opt, model.params, grad)
+                ad.adam_step(opt, params, grad)
             for k in sums:
                 sums[k] += comps[k]
             n_steps += 1
         history.append({k: sums[k] / n_steps for k in sums})
+    if opt.t:
+        model.params[...] = params
     return model, history
 
 

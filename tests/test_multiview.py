@@ -19,7 +19,9 @@ from dynident.archive import _read_archive, _write_archive
 from dynident.multiview import (
     IdentifierConfig,
     PartitionLayout,
+    _loss,
     _loss_and_grads,
+    _stacked_inputs,
     _standardized_inputs,
     alignment_ratio,
     build_identifier,
@@ -631,6 +633,64 @@ def test_three_views_train_and_align():
 
 
 # ---------------------------------------------------------------------------
+# Float32 training compute.
+# ---------------------------------------------------------------------------
+
+
+def _float32_config(decoder, **kw):
+    return _small_config(decoder=decoder, hidden_dim=8, batch_size=8, n_init=2, **kw)
+
+
+def _float32_dataset():
+    return _small_dataset(n_pairs=16, grid_points=8, t_max=3.0)
+
+
+@pytest.mark.parametrize("decoder", ["direct", "field"])
+def test_training_steps_in_float32_and_returns_float64(monkeypatch, decoder):
+    """Adam sees float32 parameters, gradient and moments; the model that
+    training returns holds the float32 result in its float64 buffer, and a
+    rerun gives the same bytes."""
+    seen = []
+    adam_step = ad.adam_step
+
+    def spy(state, params, grad):
+        seen.append((params.dtype, grad.dtype, state.m.dtype, state.v.dtype))
+        adam_step(state, params, grad)
+
+    monkeypatch.setattr(ad, "adam_step", spy)
+    ds = _float32_dataset()
+    cfg = _float32_config(decoder, epochs=2)
+    model, history = train_identifier(ds, cfg, seed=13)
+    assert seen == [(np.dtype(np.float32),) * 4] * 4
+    assert model.params.dtype == np.float64
+    np.testing.assert_array_equal(model.params.astype(np.float32), model.params)
+    assert not np.array_equal(model.params, build_identifier(ds, cfg, seed=13).params)
+    again, history_again = train_identifier(ds, cfg, seed=13)
+    assert history_again == history
+    assert again.params.tobytes() == model.params.tobytes()
+
+
+@pytest.mark.parametrize("decoder", ["direct", "field"])
+def test_float32_loss_and_gradient_match_float64(decoder):
+    """One batch through :func:`_loss` in both precisions: the components
+    and the gradient agree to about float32's resolution, and the float32
+    gradient is not the float64 one rounded (the passes ran in float32)."""
+    ds = _float32_dataset()
+    model = build_identifier(ds, _float32_config(decoder), seed=12)
+    results = []
+    for dtype in (np.float64, np.float32):
+        params = model.params.astype(dtype)
+        grad = np.empty_like(params)
+        inputs = _stacked_inputs(model, ds.states[:, :8], dtype)
+        results.append((_loss(model, model.stacks(params), *inputs, model.stacks(grad)), grad))
+    (comps64, grad64), (comps32, grad32) = results
+    for key, value in comps64.items():
+        assert comps32[key] == pytest.approx(value, rel=1e-5)
+    assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64)
+    assert not np.array_equal(grad32, grad64.astype(np.float32))
+
+
+# ---------------------------------------------------------------------------
 # Field decoder.
 # ---------------------------------------------------------------------------
 
@@ -730,14 +790,16 @@ def test_checkpoint_whose_params_do_not_fit_is_rejected(tmp_path, edit):
 
 def test_loss_rejects_a_model_whose_params_disagree_with_its_config():
     """A parameter buffer one element short or long, shaped as a matrix, or
-    of another dtype does not fit the config and grid; the loss refuses it."""
+    of a dtype other than float32 and float64 does not fit the config and
+    grid; the loss refuses it."""
     ds = _small_dataset(n_pairs=12)
     model = build_identifier(ds, _small_config(), seed=15)
     for params in (
         model.params[:-1],
         np.append(model.params, 0.0),
         model.params.reshape(1, -1),
-        model.params.astype(np.float32),
+        model.params.astype(np.float16),
+        model.params.astype(np.int64),
     ):
         bad = dataclasses.replace(model, params=params)
         with pytest.raises(InvalidArgumentError, match="parameter buffer"):
