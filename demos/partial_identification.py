@@ -3,11 +3,11 @@
 Two "labs" observe the same Lotka-Volterra dynamics: both views share the
 first two parameters while the remaining two (and the initial condition)
 differ per view.  An encoder/decoder pair trained with a cross-view
-alignment penalty on one latent block should concentrate exactly the
+alignment penalty on latent block 0 should concentrate exactly the
 shared parameters in that block — recoverable by a probe — while the
 non-shared parameters stay out of it.
 
-This is a scaled-down run (800 pairs, 600 epochs, ~15 s); the full-scale
+This is a scaled-down run (800 pairs, 600 epochs, 5–8 s); the full-scale
 evaluation lives in tests/test_acceptance.py and pushes the same numbers
 past the 0.9 / 0.3 probe bars.
 """

@@ -6,8 +6,8 @@ Three layers:
   trajectory matching against a catalog of ODE systems (``systems``,
   ``solver``, ``estimators``);
 * multiview representation identification — an encoder/decoder, its
-  parameters one flat buffer, trained with closed-form gradients so a
-  designated latent block recovers exactly the parameters shared across
+  parameters one flat buffer, trained with closed-form gradients so its
+  first latent block recovers exactly the parameters shared across
   paired views (``multiview``; ``autodiff`` holds Adam, the gradient check
   and the reference tape the tests compare those gradients with);
 * downstream evaluation — partition classification, nonlinear R² probes and
@@ -33,16 +33,13 @@ from .systems import (
     OdeSystem,
     ParameterDraw,
     basis_matrix,
-    eval_vector_field,
     get_system,
     sample_parameters,
 )
 from .solver import (
-    OVERFLOW_GUARD,
     TimeGrid,
     Trajectory,
     dct_truncate,
-    default_h_int,
     estimate_derivatives,
     idct_expand,
     integrate,
@@ -58,7 +55,7 @@ from .estimators import (
     fit_derivative_matching,
     fit_trajectory_matching,
 )
-from .autodiff import Tensor, backward, gradient_check, mlp_init, mlp_forward
+from .autodiff import gradient_check
 from .multiview import (
     IdentifierConfig,
     IdentifierModel,
@@ -74,7 +71,6 @@ from .multiview import (
     multiview_loss,
     save_dataset,
     save_identifier,
-    shared_latents,
     train_identifier,
 )
 from .causal import (

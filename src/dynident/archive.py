@@ -26,7 +26,7 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 _TRAJECTORIES_KIND = "trajectories"
 _DATASET_KIND = "multiview-dataset"
 _MODEL_KIND = "multiview-model"
-_SCHEMA_VERSION = {_TRAJECTORIES_KIND: 1, _DATASET_KIND: 2, _MODEL_KIND: 3}
+_SCHEMA_VERSION = {_TRAJECTORIES_KIND: 1, _DATASET_KIND: 2, _MODEL_KIND: 4}
 _PREP_FIELDS = ("enc_mean", "enc_std", "aux_mean", "aux_std", "tgt_mean", "tgt_std")
 _ARCHIVE_LAYOUT = {  # kind -> (required meta.json keys, required array members)
     _TRAJECTORIES_KIND: (
@@ -109,8 +109,10 @@ def _read_archive(path, kind: str) -> tuple[dict, dict]:
     version = meta.get("schema_version")
     if version != _SCHEMA_VERSION[kind]:
         reason = f"schema_version {version!r}, expected {_SCHEMA_VERSION[kind]}"
-        if kind == _MODEL_KIND and version == 2:  # per-layer members
-            reason += "; schema 2 model files are no longer read; retrain with train-mv"
+        # Schema 2 stored per-layer members; schema 3 configs held the
+        # shared block, activation and DCT keep fraction as keys.
+        if kind == _MODEL_KIND and version in (2, 3):
+            reason += f"; schema {version} model files are no longer read; retrain with train-mv"
         raise FileFormatError(f"{path}: {reason}")
     missing = [k for k in keys if k not in meta] + [
         f"{m}.npy" for m in members if m not in arrays

@@ -240,6 +240,8 @@ def latent_r2(features, targets, seed: int) -> float:
         y = y[:, None]
     if y.shape[0] != x.shape[0]:
         raise InvalidArgumentError("targets must match the feature rows")
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgumentError("targets contain non-finite values")
     tr, te = _split(x.shape[0], seed)
     stdz = _standardizer(x[tr])
     xtr, xte = stdz(x[tr]), stdz(x[te])
@@ -316,6 +318,8 @@ def aipw_ate(
     n = x.shape[0]
     if t.shape != (n,) or y.shape != (n,):
         raise InvalidArgumentError("treatment and outcome must be (n,) vectors")
+    if not np.all(np.isfinite(y)):
+        raise InvalidArgumentError("outcome contains non-finite values")
     if not set(np.unique(t)) <= {0, 1}:
         raise InvalidArgumentError("treatment must be binary 0/1")
     t = t.astype(int)

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .seeding import substream
-from .solver import TimeGrid, Trajectory, estimate_derivatives, integrate_batch
+from .solver import TimeGrid, Trajectory, _require_finite, estimate_derivatives, integrate_batch
 from .systems import OdeSystem, basis_matrix, get_system, sample_parameters
 
 METHOD_CLOSED = "closed"
@@ -144,16 +144,17 @@ def _levenberg_marquardt(
     """Minimize ||r_k(theta)||^2 with damped Gauss-Newton steps, for K
     problems at once.
 
-    ``starts`` is a (K, N) array.  ``residuals(owner, thetas)`` gets (M, N)
-    points, ``owner[m]`` naming the problem that row m belongs to, and
-    returns their (M, R) residuals; a NaN row marks an infeasible point
-    (e.g. a diverged integration).  Each round, every unfinished problem
+    ``starts`` is a (K, N) array.  Each round, every unfinished problem
     evaluates one block: its point (the start or a candidate) followed by
     the point's N forward-difference perturbations, so a candidate and the
     Jacobian there cost one evaluation, and the blocks of all problems go
-    into one ``residuals`` call.  An infeasible perturbation gives a zero
-    Jacobian column and an infeasible candidate is rejected; a problem whose
-    start is infeasible stops with infinite loss.
+    into one ``residuals(owners, points)`` call.  ``points`` is the
+    (M, N + 1, N) stack of M blocks, ``owners[m]`` names the problem that
+    block m belongs to, and the call returns the (M, N + 1, R) residuals; a
+    NaN row marks an infeasible point (e.g. a diverged integration).  An
+    infeasible perturbation gives a zero Jacobian column and an infeasible
+    candidate is rejected; a problem whose start is infeasible stops with
+    infinite loss.
 
     Damping follows the classic schedule: it starts at 1e-3, is multiplied
     by 10 on a rejection or a singular damped solve (which evaluates
@@ -171,8 +172,7 @@ def _levenberg_marquardt(
         """Feasibility of and loss at each point, and the normal equations there."""
         h = 1e-7 * np.maximum(1.0, np.abs(points))
         block = points[:, None, :] + np.eye(n_params + 1, n_params, k=-1) * h[:, None, :]
-        rows = residuals(np.repeat(owners, n_params + 1), block.reshape(-1, n_params))
-        rows = rows.reshape(len(owners), n_params + 1, -1)
+        rows = residuals(owners, block)
         feasible = ~np.isnan(rows).any(axis=2)
         loss = np.where(feasible[:, 0], _dot(rows[:, 0], rows[:, 0]), np.inf)
         # Each problem's Jacobian is a C-ordered (R, N) matrix.  BLAS sums in
@@ -254,6 +254,7 @@ def _target_derivatives(trajectory: Trajectory, derivs: Optional[np.ndarray]) ->
         derivs = np.asarray(derivs, dtype=float)
         if derivs.shape != trajectory.states.shape:
             raise InvalidArgumentError("derivs shape must match trajectory states")
+        _require_finite(derivs, f"derivs for {trajectory.system_id}")
         return derivs
     if trajectory.derivs is not None:
         return trajectory.derivs
@@ -312,15 +313,17 @@ def _derivative_fits(
     :func:`_levenberg_marquardt` run.
 
     ``states`` and ``targets`` are (K, T, d) stacks and ``starts`` is
-    (K, N); each round makes one field call for the blocks of all fits.
+    (K, N); each round makes one field call for the blocks of all fits, with
+    each block's points broadcast against one copy of its trajectory.
     """
     flat = targets.reshape(len(targets), -1)
 
-    def residuals(owner, thetas):
+    def residuals(owners, points):
         with np.errstate(all="ignore"):
-            diff = system.field(thetas[:, None, :], states[owner]).reshape(len(owner), -1)
-            infeasible = ~np.isfinite(diff).all(axis=1)
-            diff -= flat[owner]
+            diff = system.field(points[:, :, None, :], states[owners][:, None])
+            diff = diff.reshape(*points.shape[:2], -1)
+            infeasible = ~np.isfinite(diff).all(axis=2)
+            diff -= flat[owners][:, None]
         diff[infeasible] = np.nan
         return diff
 
@@ -374,10 +377,12 @@ def _fit_trajectories(
     def project(theta):
         return np.clip(theta, system.param_lo, system.param_hi)
 
-    def residuals(owner, thetas):
-        states, _, ok, _ = integrate_batch(system, thetas, x0s[owner], grid)
-        diff = states.reshape(len(owner), -1) - obs_flat[owner]
-        diff[~ok] = np.nan
+    def residuals(owners, points):
+        n_blocks, n_rows, n_params = points.shape
+        x0_rows = np.repeat(x0s[owners], n_rows, axis=0)
+        states, _, ok, _ = integrate_batch(system, points.reshape(-1, n_params), x0_rows, grid)
+        diff = states.reshape(n_blocks, n_rows, -1) - obs_flat[owners][:, None]
+        diff[~ok.reshape(n_blocks, n_rows)] = np.nan
         return diff
 
     return _levenberg_marquardt(starts, residuals, project=project)
@@ -433,14 +438,19 @@ def _observe(
     Returns the indices of the draws that did not diverge, their states
     with i.i.d. Gaussian noise of standard deviation ``noise`` added, and
     the derivatives to fit: exact without noise, finite differences of the
-    noisy states with it.
+    noisy states with it.  Noise is drawn for every draw, so a draw's noise
+    does not depend on which other draws diverged.
     """
     states, derivs, ok, _ = integrate_batch(system, thetas, system.x0, grid)
-    if noise > 0:
-        states = states + noise * substream(seed, "noise", system.id).standard_normal(states.shape)
-        derivs = np.array([estimate_derivatives(Trajectory(system.id, grid, x)) for x in states])
     simulable = np.flatnonzero(ok)
-    return simulable, states[simulable], derivs[simulable]
+    states, derivs = states[simulable], derivs[simulable]
+    if noise > 0:
+        draws = substream(seed, "noise", system.id).standard_normal((len(ok), *states.shape[1:]))
+        states = states + noise * draws[simulable]
+        derivs = np.array(
+            [estimate_derivatives(Trajectory(system.id, grid, x)) for x in states]
+        ).reshape(states.shape)
+    return simulable, states, derivs
 
 
 def benchmark_rmse(

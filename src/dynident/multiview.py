@@ -4,7 +4,7 @@ The setting: several "views" of the same underlying experiment, where a
 declared subset S of the system parameters is common to all views while the
 remaining parameters and the initial condition vary per view.  An encoder
 per view maps a compressed trajectory to a latent vector that is split into
-contiguous blocks; one block is declared *shared*.  Training combines
+contiguous blocks; the first block is the *shared* one.  Training combines
 
   * a sufficiency term — each view's trajectory must be reconstructable
     from its own full latent (plus a short initial-state stub), and
@@ -15,12 +15,12 @@ information (exactly the shared parameters) into the shared block, while
 view-specific nuisance (private parameters, initial conditions) is squeezed
 into the remaining blocks by capacity pressure.
 
-Trajectories are compressed with an orthonormal DCT before encoding; all
-encoder/decoder inputs and targets are standardized with statistics frozen
-at model-building time.  Two decoder styles are available: ``direct``
-(an MLP emits the whole standardized trajectory) and ``field`` (an MLP is a
-latent-conditioned vector field rolled out with RK4, one step per grid
-interval).
+Trajectories are compressed with an orthonormal DCT, keeping the lower half
+of the coefficients, before encoding; all encoder/decoder inputs and targets
+are standardized with statistics frozen at model-building time.  Two decoder
+styles are available: ``direct`` (an MLP emits the whole standardized
+trajectory) and ``field`` (an MLP is a latent-conditioned vector field rolled
+out with RK4, one step per grid interval).  Every hidden layer is tanh.
 
 Every encoder and decoder parameter lives in one flat buffer, the model's
 ``params``; per-layer views of it stack the views' networks, so that one
@@ -64,6 +64,8 @@ from .solver import TimeGrid, dct_truncate, integrate_batch
 from .systems import OdeSystem, get_system
 
 _STD_FLOOR = 1e-8
+#: The share of each channel's DCT coefficients that the encoder sees.
+_KEEP_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +75,15 @@ _STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class PartitionLayout:
-    """Contiguous latent blocks with one block declared shared."""
+    """Contiguous latent blocks; block 0 is the shared one."""
 
     block_sizes: tuple
-    shared_block: int = 0
 
     def __post_init__(self):
         sizes = tuple(require_int(s, "block_sizes") for s in self.block_sizes)
         object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "shared_block", require_int(self.shared_block, "shared_block"))
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise InvalidArgumentError("block_sizes: need at least two blocks of positive size")
-        if not 0 <= self.shared_block < len(sizes):
-            raise InvalidArgumentError("shared_block: must index one of the blocks")
 
     @property
     def latent_dim(self) -> int:
@@ -99,16 +97,11 @@ class PartitionLayout:
 
     @property
     def shared_indices(self) -> np.ndarray:
-        return self.block_indices(self.shared_block)
+        return np.arange(self.block_sizes[0])
 
     @property
     def private_indices(self) -> np.ndarray:
-        keep = [
-            self.block_indices(b)
-            for b in range(len(self.block_sizes))
-            if b != self.shared_block
-        ]
-        return np.concatenate(keep)
+        return np.arange(self.block_sizes[0], self.latent_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +360,15 @@ def _is_a(value, annotation: str) -> bool:
 
 @dataclass(frozen=True)
 class IdentifierConfig:
-    """Architecture plus training hyper-parameters for one identifier."""
+    """Architecture plus training hyper-parameters for one identifier.
+
+    Fixed for every identifier: tanh hidden layers, block 0 as the shared
+    block, and the lower half of the DCT coefficients as encoder input.
+    """
 
     block_sizes: tuple = (4, 4)
-    shared_block: int = 0
     hidden_dim: int = 64
     depth: int = 3
-    activation: str = "tanh"
-    keep_fraction: float = 0.5
     n_init: int = 10
     reg_align: float = 10.0
     decoder: str = "direct"  # "direct" | "field"
@@ -394,12 +388,10 @@ class IdentifierConfig:
             if not _is_a(value, f.type):
                 raise ConfigError(f"{f.name}: must be {_FIELD_TYPES[f.type][2]}")
             object.__setattr__(self, f.name, _FIELD_TYPES[f.type][1](value))
-        PartitionLayout(self.block_sizes, self.shared_block)  # checks both fields
+        PartitionLayout(self.block_sizes)  # checks the block sizes
         for key, ok, rule in (
             ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
             ("depth", self.depth >= 1, "must be >= 1"),
-            ("activation", self.activation in ("tanh", "relu"), "must be one of tanh, relu"),
-            ("keep_fraction", 0.0 < self.keep_fraction <= 1.0, "must be in (0, 1]"),
             ("n_init", self.n_init >= 1, "must be >= 1"),
             ("reg_align", self.reg_align >= 0, "must be >= 0"),
             ("decoder", self.decoder in ("direct", "field"), "must be one of direct, field"),
@@ -412,7 +404,7 @@ class IdentifierConfig:
 
     @property
     def layout(self) -> PartitionLayout:
-        return PartitionLayout(self.block_sizes, self.shared_block)
+        return PartitionLayout(self.block_sizes)
 
 
 @dataclass
@@ -438,14 +430,12 @@ class _Stack:
 
     weights: list
     biases: list
-    activation: str
 
     def select(self, view: int) -> "_Stack":
         """The network of one view, as a stack of one."""
         return _Stack(
             [w[view : view + 1] for w in self.weights],
             [b[view : view + 1] for b in self.biases],
-            self.activation,
         )
 
 
@@ -495,8 +485,7 @@ class IdentifierModel:
         blocks = [piece.reshape(shape) for piece, shape in zip(pieces, shapes)]
         n_enc = 2 * self.config.depth
         enc, dec = blocks[:n_enc], blocks[n_enc:]
-        act = self.config.activation
-        return _Stack(enc[0::2], enc[1::2], act), _Stack(dec[0::2], dec[1::2], act)
+        return _Stack(enc[0::2], enc[1::2]), _Stack(dec[0::2], dec[1::2])
 
     @property
     def encoders(self) -> _Stack:
@@ -507,9 +496,9 @@ class IdentifierModel:
         return self.stacks(self.params)[1]
 
 
-def _encoder_features(states: np.ndarray, keep_fraction: float) -> np.ndarray:
+def _encoder_features(states: np.ndarray) -> np.ndarray:
     """(n, T, d) trajectories -> (n, F) truncated-DCT features, time-major."""
-    return dct_truncate(states, keep_fraction).reshape(states.shape[0], -1)
+    return dct_truncate(states, _KEEP_FRACTION).reshape(states.shape[0], -1)
 
 
 def _aux_features(states: np.ndarray, n_init: int) -> np.ndarray:
@@ -559,7 +548,7 @@ def build_identifier(
 
     per_view = [  # the fields of Preprocessing, in order, for each view
         (
-            *_stats(_encoder_features(states, config.keep_fraction)),
+            *_stats(_encoder_features(states)),
             *_stats(_aux_features(states, config.n_init)),
             *_stats(states.reshape(-1, d)),  # per state channel
         )
@@ -591,21 +580,10 @@ def build_identifier(
 # ---------------------------------------------------------------------------
 
 
-def _activate(a: np.ndarray, activation: str) -> None:
-    """Apply the hidden-layer activation to ``a`` in place."""
-    if activation == "tanh":
-        np.tanh(a, out=a)
-    else:
-        np.maximum(a, 0.0, out=a)
-
-
-def _derivative(h: np.ndarray, activation: str, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The activation's derivative, from its output ``h``: 1 - h² for tanh,
-    the mask h > 0 for relu (zero at the kink)."""
-    if activation == "tanh":
-        out = np.multiply(h, h, out=out)
-        return np.subtract(1.0, out, out=out)
-    return np.greater(h, 0.0, out=out)
+def _tanh_derivative(h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """tanh's derivative from its output ``h``: 1 - h²."""
+    out = np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def _transposed(w: np.ndarray) -> np.ndarray:
@@ -629,7 +607,7 @@ def _mlp_forward(net: _Stack, x: np.ndarray, saved: Optional[list] = None) -> np
         x = np.matmul(x, w)
         x += b[:, None, :]
         if i != last:
-            _activate(x, net.activation)
+            np.tanh(x, out=x)
     return x
 
 
@@ -647,7 +625,7 @@ def _mlp_backward(
         if i == 0:
             break
         g = np.matmul(g, _transposed(net.weights[i]))
-        g *= _derivative(saved[i], net.activation)
+        g *= _tanh_derivative(saved[i])
     if input_cols is None:
         return None
     return np.matmul(g, _transposed(net.weights[0][:, input_cols]))
@@ -669,9 +647,9 @@ def _field_mlp(
     a = np.matmul(x, dec.weights[0][:, -x.shape[2] :], out=hidden[0] if hidden else None)
     a += c
     for i in range(1, len(dec.weights)):
-        _activate(a, dec.activation)
+        np.tanh(a, out=a)
         if derivs:
-            _derivative(a, dec.activation, out=derivs[i - 1])
+            _tanh_derivative(a, out=derivs[i - 1])
         a = np.matmul(a, dec.weights[i], out=hidden[i] if i < len(hidden) else None)
         a += dec.biases[i][:, None, :]
     return a
@@ -789,7 +767,7 @@ def _standardized_inputs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(enc_in, aux_in, targets) for one view, all standardized."""
     cfg, prep = model.config, model.prep
-    enc = _encoder_features(states, cfg.keep_fraction)
+    enc = _encoder_features(states)
     enc = (enc - prep.enc_mean[view]) / prep.enc_std[view]
     aux = _aux_features(states, cfg.n_init)
     aux = (aux - prep.aux_mean[view]) / prep.aux_std[view]
@@ -812,14 +790,6 @@ def encode(model: IdentifierModel, states: np.ndarray, view: int) -> np.ndarray:
         raise InvalidArgumentError("encode: states must be (n, T, d) on the model grid")
     enc_in, _, _ = _standardized_inputs(model, states, view)
     return _mlp_forward(model.encoders.select(view), enc_in[None])[0]
-
-
-def shared_latents(model: IdentifierModel, dataset: MultiviewDataset) -> np.ndarray:
-    """(n_views, n, |shared block|) latent coordinates."""
-    idx = model.layout.shared_indices
-    return np.stack(
-        [encode(model, dataset.states[v], v)[:, idx] for v in range(dataset.n_views)]
-    )
 
 
 def decode_forecast(
@@ -890,8 +860,7 @@ def _loss(
     resid = out - targets
     sufficiency = sum(float(np.square(r).sum()) * (1.0 / batch) for r in resid)
 
-    shared = model.layout.shared_indices
-    cols = slice(shared[0], shared[-1] + 1)
+    cols = slice(0, model.layout.block_sizes[0])  # the shared block
     pairs = list(itertools.combinations(range(n_views), 2))
     diffs = [z[i, :, cols] - z[j, :, cols] for i, j in pairs]
     alignment = sum(float(np.square(diff).sum()) * (1.0 / batch) for diff in diffs)
@@ -1017,9 +986,9 @@ def train_identifier(
 def alignment_ratio(model: IdentifierModel, dataset: MultiviewDataset) -> float:
     """Cross-view disagreement of the shared block relative to the others.
 
-    For each non-shared block B, compare the median (over pairs and view
+    For each block B after the shared block 0, compare the median (over pairs and view
     pairs) disagreement norms: ``median ||z_S - z~_S|| / median ||z_B - z~_B||``.
-    The worst (largest) ratio over non-shared blocks is returned.  Values
+    The worst (largest) ratio over those blocks is returned.  Values
     well below 1 mean the shared block agrees across views while the other
     blocks keep carrying view-specific content.
     """
@@ -1038,9 +1007,7 @@ def alignment_ratio(model: IdentifierModel, dataset: MultiviewDataset) -> float:
 
     num = med_diff(layout.shared_indices)
     worst = 0.0
-    for b in range(len(layout.block_sizes)):
-        if b == layout.shared_block:
-            continue
+    for b in range(1, len(layout.block_sizes)):
         den = med_diff(layout.block_indices(b))
         worst = max(worst, num / max(den, _STD_FLOOR))
     return worst
@@ -1052,7 +1019,7 @@ def alignment_ratio(model: IdentifierModel, dataset: MultiviewDataset) -> float:
 
 
 def save_identifier(path, model: IdentifierModel) -> None:
-    """Write ``model`` as an archive: ``meta.json`` (kind, schema_version 3,
+    """Write ``model`` as an archive: ``meta.json`` (kind, schema_version 4,
     config, system_id, shared_param_indices, grid), the six float64 members
     ``prep.<statistic>`` and the float64 member ``params``, the model's
     parameter buffer as it is.
@@ -1073,7 +1040,7 @@ def load_identifier(path) -> IdentifierModel:
     """Read a model written by :func:`save_identifier`.
 
     Raises :class:`FileFormatError` naming ``path`` unless the file is an
-    intact schema-3 model archive whose config is well typed, whose
+    intact schema-4 model archive whose config is well typed, whose
     ``shared_param_indices`` pass the checks of
     :func:`generate_multiview_dataset` for its system, and whose ``prep``
     rows and ``params`` buffer have the shapes that the config, the grid and
@@ -1096,7 +1063,7 @@ def load_identifier(path) -> IdentifierModel:
         if prep.tgt_mean.ndim != 2 or len(prep.tgt_mean) == 0:
             raise ValueError("prep.tgt_mean is not 2-d with a row per view")
         n_views, d = prep.tgt_mean.shape
-        n_enc = int(np.ceil(model.config.keep_fraction * model.grid.n_points)) * d
+        n_enc = int(np.ceil(_KEEP_FRACTION * model.grid.n_points)) * d
         n_aux = model.config.n_init * d
         for name, width in zip(_PREP_FIELDS, (n_enc, n_enc, n_aux, n_aux, d, d)):
             shape = getattr(prep, name).shape
@@ -1119,7 +1086,6 @@ __all__ = [
     "IdentifierModel",
     "build_identifier",
     "encode",
-    "shared_latents",
     "decode_forecast",
     "multiview_loss",
     "train_identifier",

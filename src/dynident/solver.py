@@ -82,12 +82,19 @@ class TimeGrid:
         return float(h)
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise :class:`InvalidArgumentError` naming ``what`` unless every entry is finite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{what} contain non-finite values")
+
+
 @dataclass
 class Trajectory:
     """An integrated (or observed) path of one system.
 
-    ``theta_truth`` is the generating parameter vector when known; estimators
-    receive trajectories and must not read it — it exists for scoring.
+    ``states`` and ``derivs`` must be finite.  ``theta_truth`` is the
+    generating parameter vector when known; estimators receive trajectories
+    and must not read it — it exists for scoring.
     """
 
     system_id: str
@@ -102,10 +109,12 @@ class Trajectory:
             raise InvalidArgumentError(
                 f"Trajectory: states must have shape (T, d) with T = {self.grid.n_points}"
             )
+        _require_finite(self.states, f"Trajectory of {self.system_id}: states")
         if self.derivs is not None:
             self.derivs = np.asarray(self.derivs, dtype=float)
             if self.derivs.shape != self.states.shape:
                 raise InvalidArgumentError("Trajectory: derivs shape must match states")
+            _require_finite(self.derivs, f"Trajectory of {self.system_id}: derivs")
         if self.theta_truth is not None:
             self.theta_truth = np.asarray(self.theta_truth, dtype=float)
 

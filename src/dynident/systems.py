@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError, UnsupportedOperationError
+from .errors import InvalidArgumentError, UnsupportedOperationError
 from .seeding import substream
 
 CATALOG_VERSION = "1"
@@ -266,32 +266,6 @@ def get_system(system_id: str) -> OdeSystem:
     except KeyError:
         known = ", ".join(sorted(CATALOG))
         raise InvalidArgumentError(f"unknown system id {system_id!r}; known ids: {known}") from None
-
-
-def eval_vector_field(system: OdeSystem, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate f(theta, x) with validation.
-
-    ``theta`` must end in a dimension of size N and ``x`` in a dimension of
-    size d; leading dimensions broadcast.  Raises
-    :class:`NumericDomainError` (naming the system) if the result is not
-    finite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if theta.shape[-1:] != (system.param_dim,):
-        raise InvalidArgumentError(
-            f"{system.id}: theta must have trailing dimension {system.param_dim}, "
-            f"got shape {theta.shape}"
-        )
-    if x.shape[-1:] != (system.state_dim,):
-        raise InvalidArgumentError(
-            f"{system.id}: x must have trailing dimension {system.state_dim}, got shape {x.shape}"
-        )
-    with np.errstate(all="ignore"):
-        out = system.field(theta, x)
-    if not np.all(np.isfinite(out)):
-        raise NumericDomainError(f"{system.id}: vector field returned non-finite values")
-    return out
 
 
 def sample_parameters(system: OdeSystem, n: int, seed: int) -> list[ParameterDraw]:

@@ -100,7 +100,7 @@ def test_derivative_matching_benchmark_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_chaotic_multistart_trajectory_matching():
+def test_chaotic_trajectory_matching():
     n_draws = 10
     rep = benchmark_rmse(["ode56"], n_draws, "traj", seed=23)[0]
     fail_rate = rep.n_failures / n_draws

@@ -8,10 +8,23 @@ are, never edited.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
+
+
+def test_every_benchmark_module_imports_from_the_package():
+    """``selftest.py`` imports ``workloads``, ``checks``, ``layers``, ``run``
+    and ``steadiness``, so a name that one of them imports from ``dynident``
+    and that the package no longer has fails here."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'benchmarks'); import selftest"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_traced_run_patches_only_names_that_exist_and_restores_them(monkeypatch):

@@ -427,10 +427,37 @@ def test_a_value_is_checked_once_whether_flag_or_config(tmp_path, capsys):
 
 
 def test_train_mv_checks_its_model_keys_before_opening_the_data(tmp_path, capsys):
-    rc = main(["train-mv", "--keep-fraction", "1.5", "--data", str(tmp_path / "absent.npz"),
+    rc = main(["train-mv", "--depth", "0", "--data", str(tmp_path / "absent.npz"),
                "--out", str(tmp_path / "m.npz")])
     assert rc == 1
-    assert capsys.readouterr().err == "dynident: config: keep_fraction: must be in (0, 1]\n"
+    assert capsys.readouterr().err == "dynident: config: depth: must be >= 1\n"
+
+
+_FIXED_SETTINGS = [("--activation", "activation", "relu"), ("--shared-block", "shared_block", 0),
+                   ("--keep-fraction", "keep_fraction", 0.5)]
+
+
+@pytest.mark.parametrize("flag, key, value", _FIXED_SETTINGS)
+def test_fixed_identifier_settings_are_not_flags(tmp_path, capsys, flag, key, value):
+    """tanh, block 0 as the shared block and half the DCT coefficients are
+    fixed: their former flags are usage errors."""
+    rc = main(["train-mv", flag, str(value), "--data", str(tmp_path / "absent.npz"),
+               "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: dynident [-h] command ...",
+        f"dynident: usage: unrecognized arguments: {flag} {value}",
+    ]
+
+
+@pytest.mark.parametrize("flag, key, value", _FIXED_SETTINGS)
+def test_fixed_identifier_settings_are_not_config_keys(tmp_path, capsys, flag, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["train-mv", "--config", str(cfg), "--data", str(tmp_path / "absent.npz"),
+               "--out", str(tmp_path / "m.npz")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"dynident: config: {key}: unknown config key\n"
 
 
 def _wrong_json_values(opt):
@@ -544,11 +571,8 @@ _CLI_SURFACE = {
         (("--out",), "out", str),
         (("--seed",), "seed", int),
         (("--blocks",), "block_sizes", str),
-        (("--shared-block",), "shared_block", int),
         (("--hidden-dim",), "hidden_dim", int),
         (("--depth",), "depth", int),
-        (("--activation",), "activation", str),
-        (("--keep-fraction",), "keep_fraction", float),
         (("--n-init",), "n_init", int),
         (("--reg-align",), "reg_align", float),
         (("--decoder",), "decoder", str),
@@ -788,7 +812,7 @@ def test_unknown_system_id_in_dataset_or_model_exits_2(tmp_path_factory, capsys)
 
 
 @pytest.mark.parametrize(
-    "key, value", [("depth", 2.0), ("hidden_dim", 8.0), ("shared_block", 0.0),
+    "key, value", [("depth", 2.0), ("hidden_dim", 8.0), ("n_init", 1.0),
                    ("block_sizes", [2.0, 2.0])],
 )
 def test_model_config_of_the_wrong_type_exits_2_naming_the_key(
@@ -872,7 +896,9 @@ def test_bad_shared_indices_in_a_model_exit_2(tmp_path_factory, capsys, value, r
 
 def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, capsys):
     """A model file of schema 2 stored every view's layers as their own
-    members; it is refused with one line, not read through a second loader."""
+    members, and one of schema 3 held the shared block, the activation and
+    the DCT keep fraction in its config; each is refused with one line, not
+    read through a second loader."""
     files = _pipeline_files(tmp_path_factory)
     meta, arrays = _read_archive(files["model"], "multiview-model")
     m = load_identifier(files["model"])
@@ -882,16 +908,21 @@ def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, ca
             for k, (w, b) in enumerate(zip(net.weights, net.biases)):
                 per_layer[f"{role}.{v}.weights.{k}"] = w[v]
                 per_layer[f"{role}.{v}.biases.{k}"] = b[v]
-    model = tmp_path_factory.mktemp("schema2") / "model.npz"
-    _write_archive(model, "multiview-model", {**meta, "schema_version": 2}, per_layer)
-    capsys.readouterr()
-    rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
-               "--report", str(model.with_name("e.csv"))])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"dynident: io: {model}: schema_version 2, expected 3; schema 2 model files are "
-        "no longer read; retrain with train-mv\n"
-    )
+    old_config = {**meta["config"], "shared_block": 0, "activation": "tanh", "keep_fraction": 0.5}
+    root = tmp_path_factory.mktemp("old-schemas")
+    for version, members in ((2, per_layer), (3, arrays)):
+        model = root / f"schema{version}.npz"
+        _write_archive(model, "multiview-model",
+                       {**meta, "schema_version": version, "config": old_config}, members)
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data", str(files["data"]),
+                   "--report", str(root / "e.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"dynident: io: {model}: schema_version {version}, expected 4; schema {version} "
+            "model files are no longer read; retrain with train-mv\n"
+        )
+    assert not (root / "e.csv").exists()
 
 
 def test_synth_mv_with_the_same_seed_writes_identical_bytes(tmp_path):

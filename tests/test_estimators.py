@@ -351,9 +351,12 @@ def _benchmark_one_fit_at_a_time(method, sid, n_draws, seed, noise, grid_points)
         states = states + noise * substream(seed, "noise", s.id).standard_normal(states.shape)
     rmses, failures = [], 0
     for i in range(n_draws):
+        if not ok[i]:  # a diverged draw's states hold NaN, which Trajectory refuses
+            failures += 1
+            continue
         traj = Trajectory(s.id, grid, states[i], derivs=None if noise > 0 else derivs[i])
         try:
-            fit = _FITS[method](s, traj) if ok[i] else None
+            fit = _FITS[method](s, traj)
         except (EstimationFailureError, IllConditionedError):
             fit = None
         if fit is None:
@@ -412,9 +415,10 @@ def _log_blowup_field(seen):
     def field(th, x):
         with np.errstate(all="ignore"):
             out = np.log(th[..., 0:1]) * x**2
-        if out.ndim == 3:
-            finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
-            seen.append((int((~finite).sum()), len(out)))
+        if out.ndim >= 3:
+            paths = out.reshape(-1, out.shape[-2] * out.shape[-1])
+            finite = np.isfinite(paths).all(axis=1)
+            seen.append((int((~finite).sum()), len(paths)))
         return out
 
     return field
@@ -428,6 +432,7 @@ def _log_blowup_field(seen):
         ("deriv", "ode27", 12, 4, 0.0),
         ("deriv", "ode27", 12, 4, 1e-3),
         ("deriv", "blowup_deriv", 10, 2, 0.0),
+        ("deriv", "blowup_deriv", 10, 2, 1e-3),
         ("deriv", "blowup_log", 10, 2, 0.0),
         ("closed", "ode31", 12, 4, 0.0),
         ("closed", "ode31", 12, 4, 1e-3),
@@ -440,8 +445,9 @@ def test_batched_deriv_and_closed_benchmark_match_one_fit_at_a_time(
     """Fitting all draws of a cell at once gives bit-identical reports.
 
     ``blowup_deriv`` (x' = theta x^2) diverges for theta > 1/3, so some
-    draws fail to simulate.  Its simulable states stay below the overflow
-    guard, so no derivative-matching candidate goes non-finite;
+    draws fail to simulate; with noise, only the simulable draws are
+    differentiated.  Its simulable states stay below the overflow guard, so
+    no derivative-matching candidate goes non-finite;
     ``blowup_log`` also diverges and its candidates below 0 are NaN, so some
     rows of a batch are infeasible while others are not.  Every draw of
     ``dup_basis`` has a singular Gram matrix and fails.
@@ -509,11 +515,11 @@ def test_a_singular_damped_solve_raises_only_that_problems_damping(monkeypatch):
     starts = np.array([[-1.2, 1.0], [0.5, 0.5], [2.0, -1.0]])
     events, solved = [], []
 
-    def residuals(owner, thetas):
+    def residuals(owners, points):
         """Rosenbrock's residuals, with minimum (c, c^2) for problem offset c."""
         events.append("evaluate")
-        t0, t1 = thetas[:, 0], thetas[:, 1]
-        return np.stack([10.0 * (t1 - t0**2), offsets[owner] - t0], axis=1)
+        t0, t1 = points[..., 0], points[..., 1]
+        return np.stack([10.0 * (t1 - t0**2), offsets[owners][:, None] - t0], axis=-1)
 
     solve = np.linalg.solve
 

@@ -33,7 +33,6 @@ from dynident.multiview import (
     multiview_loss,
     save_dataset,
     save_identifier,
-    shared_latents,
     train_identifier,
 )
 from dynident.multiview import MultiviewDataset
@@ -81,7 +80,7 @@ def _tape_networks(model):
             MlpParams(
                 weights=[layer[v] for layer in layers[0::2]],
                 biases=[layer[v] for layer in layers[1::2]],
-                activation=stack.activation,
+                activation="tanh",
             )
             for v in range(model.n_views)
         ])
@@ -181,13 +180,14 @@ def _small_config(**kw):
 
 
 def test_partition_layout_indices():
-    lay = PartitionLayout((4, 4), shared_block=0)
+    lay = PartitionLayout((4, 4))
     assert lay.latent_dim == 8
     np.testing.assert_array_equal(lay.shared_indices, [0, 1, 2, 3])
     np.testing.assert_array_equal(lay.private_indices, [4, 5, 6, 7])
-    lay2 = PartitionLayout((2, 3, 2), shared_block=1)
-    np.testing.assert_array_equal(lay2.shared_indices, [2, 3, 4])
-    np.testing.assert_array_equal(lay2.private_indices, [0, 1, 5, 6])
+    lay2 = PartitionLayout((2, 3, 2))
+    np.testing.assert_array_equal(lay2.shared_indices, [0, 1])
+    np.testing.assert_array_equal(lay2.private_indices, [2, 3, 4, 5, 6])
+    np.testing.assert_array_equal(lay2.block_indices(1), [2, 3, 4])
 
 
 def test_partition_layout_validation():
@@ -195,24 +195,22 @@ def test_partition_layout_validation():
         PartitionLayout((8,))
     with pytest.raises(InvalidArgumentError):
         PartitionLayout((4, 0))
-    with pytest.raises(InvalidArgumentError):
-        PartitionLayout((4, 4), shared_block=2)
 
 
+# The ids are those the cases had when the shared block was an argument.
 @pytest.mark.parametrize(
-    "sizes, shared, key",
-    [((2.7, 2), 0, "block_sizes"), ((2, True), 0, "block_sizes"),
-     ((2, 2), 0.5, "shared_block"), ((2, 2), True, "shared_block")],
+    "sizes",
+    [pytest.param((2.7, 2), id="sizes0-0-block_sizes"),
+     pytest.param((2, True), id="sizes1-0-block_sizes")],
 )
-def test_partition_layout_refuses_non_integers(sizes, shared, key):
-    with pytest.raises(InvalidArgumentError, match=f"{key}: expected an integer"):
-        PartitionLayout(sizes, shared_block=shared)
+def test_partition_layout_refuses_non_integers(sizes):
+    with pytest.raises(InvalidArgumentError, match="block_sizes: expected an integer"):
+        PartitionLayout(sizes)
 
 
 def test_partition_layout_accepts_numpy_integers():
-    lay = PartitionLayout(tuple(np.array([3, 2])), shared_block=np.int64(1))
+    lay = PartitionLayout(tuple(np.array([3, 2])))
     assert lay.block_sizes == (3, 2) and type(lay.block_sizes[0]) is int
-    assert lay.shared_block == 1 and type(lay.shared_block) is int
 
 
 @pytest.mark.parametrize("indices", [(0.9, 1.7), (True, 1), (0, 1.0)])
@@ -371,7 +369,7 @@ def test_same_seed_writes_identical_dataset_files(tmp_path):
 
 def test_build_identifier_shapes_and_standardization():
     ds = _small_dataset()
-    cfg = _small_config(keep_fraction=0.5, n_init=6)
+    cfg = _small_config(n_init=6)
     model = build_identifier(ds, cfg, seed=0)
     # ceil(0.5 * 30) = 15 DCT rows, 2 channels; (views, fan_in, fan_out).
     assert model.encoders.weights[0].shape == (2, 30, 16)
@@ -401,8 +399,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _small_config(decoder="transformer")
     with pytest.raises(ConfigError):
-        _small_config(keep_fraction=0.0)
-    with pytest.raises(ConfigError):
         _small_config(reg_align=-1.0)
     with pytest.raises(ConfigError):
         _small_config(epochs=-1)
@@ -419,8 +415,7 @@ def test_encode_shapes_and_determinism():
     np.testing.assert_array_equal(z0, encode(model, ds.states[0], 0))
     with pytest.raises(InvalidArgumentError):
         encode(model, ds.states[0][:, :-1], 0)
-    zs = shared_latents(model, ds)
-    assert zs.shape == (2, 10, 3)
+    np.testing.assert_array_equal(model.layout.shared_indices, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,7 @@ def test_handcrafted_affine_model_reaches_zero_loss():
     # whole trajectory, a decoder that re-scales the stub back to target
     # standardization is exact: the loss floor is pure rounding.
     ds = _identical_view_dataset(n_pairs=10, grid_points=12, t_max=5.0, seed=6)
-    cfg = _small_config(depth=1, n_init=12, keep_fraction=1.0)
+    cfg = _small_config(depth=1, n_init=12)
     model = build_identifier(ds, cfg, seed=4)
     lat = model.layout.latent_dim
     d = 2
@@ -501,19 +496,16 @@ def test_loss_batch_subset_matches_manual_graph():
 @settings(max_examples=40, deadline=None)
 @given(
     decoder=st.sampled_from(["direct", "field"]),
-    activation=st.sampled_from(["tanh", "relu"]),
     depth=st.integers(1, 3),
     n_views=st.integers(2, 3),
     init_seed=st.integers(0, 2**16),
 )
-def test_closed_form_loss_and_gradients_match_the_tape(
-    decoder, activation, depth, n_views, init_seed
-):
+def test_closed_form_loss_and_gradients_match_the_tape(decoder, depth, n_views, init_seed):
     ds = generate_multiview_dataset(
         "ode27", 8, 17, (0, 1), n_views=n_views, grid_points=6, t_max=2.0
     )
     cfg = _small_config(
-        decoder=decoder, activation=activation, depth=depth, hidden_dim=5,
+        decoder=decoder, depth=depth, hidden_dim=5,
         block_sizes=(2, 3), n_init=2, reg_align=3.0,
     )
     model = build_identifier(ds, cfg, seed=init_seed)
@@ -607,7 +599,7 @@ def test_training_zero_epochs_returns_fresh_model():
 def test_training_divergence_is_reported_with_location():
     ds = _small_dataset(n_pairs=32)
     cfg = _small_config(
-        epochs=3, batch_size=16, lr=1e200, activation="relu", reg_align=1.0
+        epochs=3, batch_size=16, lr=1e200, reg_align=1.0
     )
     with pytest.raises(TrainingDivergedError) as exc:
         train_identifier(ds, cfg, seed=6)
@@ -628,7 +620,7 @@ def test_three_views_train_and_align():
     model, history = train_identifier(ds, cfg, seed=9)
     assert model.n_views == 3
     assert np.isfinite(history[-1]["total"])
-    assert shared_latents(model, ds).shape == (3, 24, 3)
+    assert encode(model, ds.states[2], 2).shape == (24, 6)
     assert alignment_ratio(model, ds) > 0
 
 

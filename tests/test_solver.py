@@ -13,7 +13,6 @@ from dynident import (
     TimeGrid,
     Trajectory,
     dct_truncate,
-    default_h_int,
     estimate_derivatives,
     get_system,
     idct_expand,
@@ -24,7 +23,7 @@ from dynident import (
 )
 from dynident.archive import _read_archive, _write_archive
 from dynident.multiview import generate_multiview_dataset, save_dataset
-from dynident.solver import _STEPS_PER_HORIZON, _substep_plan
+from dynident.solver import _STEPS_PER_HORIZON, _substep_plan, default_h_int
 from dynident.systems import CATALOG, OdeSystem, sample_parameters
 
 

@@ -8,12 +8,10 @@ from hypothesis.extra.numpy import arrays
 from dynident import (
     CATALOG,
     InvalidArgumentError,
-    NumericDomainError,
     OdeSystem,
     TimeGrid,
     UnsupportedOperationError,
     basis_matrix,
-    eval_vector_field,
     get_system,
     integrate,
     integrate_batch,
@@ -52,34 +50,19 @@ def test_catalog_boxes_and_x0_shapes():
         assert s.t_max > 0
 
 
-# --- eval_vector_field -----------------------------------------------------
+# --- fields ----------------------------------------------------------------
 
 
 def test_lorenz_field_known_point():
     s = get_system("ode56")
-    out = eval_vector_field(s, np.array([10.0, 28.0, 8.0 / 3.0]), np.array([1.0, 1.0, 1.0]))
+    out = s.field(np.array([10.0, 28.0, 8.0 / 3.0]), np.array([1.0, 1.0, 1.0]))
     np.testing.assert_allclose(out, [0.0, 26.0, 1.0 - 8.0 / 3.0], rtol=0, atol=1e-15)
 
 
 def test_logistic_field_known_point():
     s = get_system("ode3")
-    out = eval_vector_field(s, np.array([1.0, 2.0]), np.array([1.0]))
+    out = s.field(np.array([1.0, 2.0]), np.array([1.0]))
     np.testing.assert_allclose(out, [0.5], rtol=0, atol=1e-15)
-
-
-def test_field_shape_mismatch_rejected():
-    s = get_system("ode56")
-    with pytest.raises(InvalidArgumentError):
-        eval_vector_field(s, np.array([10.0, 28.0]), np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(InvalidArgumentError):
-        eval_vector_field(s, np.array([10.0, 28.0, 8.0 / 3.0]), np.array([1.0, 1.0]))
-
-
-def test_field_nonfinite_output_reported():
-    s = get_system("ode3")
-    # theta_1 = 0 divides by zero inside the field.
-    with pytest.raises(NumericDomainError):
-        eval_vector_field(s, np.array([1.0, 0.0]), np.array([1.0]))
 
 
 def test_field_broadcasts_over_batches():
@@ -87,9 +70,9 @@ def test_field_broadcasts_over_batches():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(0.5, 2.0, size=(6, 4))
     xs = rng.uniform(0.5, 3.0, size=(6, 2))
-    batch = eval_vector_field(s, thetas, xs)
+    batch = s.field(thetas, xs)
     for i in range(6):
-        single = eval_vector_field(s, thetas[i], xs[i])
+        single = s.field(thetas[i], xs[i])
         np.testing.assert_array_equal(batch[i], single)
 
 
@@ -110,7 +93,25 @@ def test_every_field_broadcasts_batched_theta_against_shared_states():
         assert batch.shape == (3, 12, s.state_dim), s.id
         for i in range(3):
             np.testing.assert_array_equal(
-                batch[i], eval_vector_field(s, thetas[i], shared), err_msg=s.id
+                batch[i], s.field(thetas[i], shared), err_msg=s.id
+            )
+
+
+def test_every_field_broadcasts_blocks_of_theta_against_one_copy_of_each_path():
+    """theta (K, B, 1, N) against states (K, 1, T, d) must give (K, B, T, d),
+    each block's rows evaluated on its own path: the shape derivative
+    matching evaluates its candidates and their perturbations in."""
+    for s in CATALOG.values():
+        thetas = np.stack([d.theta for d in sample_parameters(s, 6, seed=78)])
+        grid = TimeGrid.uniform(0.0, s.t_max, 9)
+        states, _, ok, _ = integrate_batch(s, thetas[:2], s.x0, grid)
+        assert ok.all(), s.id
+        blocks = thetas.reshape(2, 3, 1, s.param_dim)
+        out = s.field(blocks, states[:, None])
+        assert out.shape == (2, 3, 9, s.state_dim), s.id
+        for k in range(2):
+            np.testing.assert_array_equal(
+                out[k], s.field(blocks[k], states[k]), err_msg=s.id
             )
 
 
