@@ -48,7 +48,14 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .seeding import substream
-from .solver import TimeGrid, Trajectory, _require_finite, estimate_derivatives, integrate_batch
+from .solver import (
+    TimeGrid,
+    Trajectory,
+    _require_finite,
+    _stencil_derivatives,
+    estimate_derivatives,
+    integrate_batch,
+)
 from .systems import OdeSystem, basis_matrix, get_system, sample_parameters
 
 METHOD_CLOSED = "closed"
@@ -447,9 +454,7 @@ def _observe(
     if noise > 0:
         draws = substream(seed, "noise", system.id).standard_normal((len(ok), *states.shape[1:]))
         states = states + noise * draws[simulable]
-        derivs = np.array(
-            [estimate_derivatives(Trajectory(system.id, grid, x)) for x in states]
-        ).reshape(states.shape)
+        derivs = _stencil_derivatives(states, grid)
     return simulable, states, derivs
 
 

@@ -7,7 +7,10 @@ default ``h_int`` is the horizon over 1000, whatever the grid density; the
 test suite holds its justification (a step-doubling error estimate at most
 1e-7 relative to scale for every catalog system) and a self-convergence
 check under step halving, whose error-ratio window for a fourth-order
-method is roughly 16.
+method is roughly 16.  Each step writes its stage inputs and increment into
+buffers allocated once per call and updates the state in place, with the
+arithmetic of the textbook out-of-place step, so results are bit-identical
+to it.
 
 Besides integration this module provides second-order finite-difference
 derivative estimation, per-channel orthonormal DCT truncation/expansion for
@@ -196,6 +199,10 @@ def integrate_batch(
             x[bad_now] = 0.0
 
     f = system.field
+    # Stage inputs and the increment live in buffers reused by every step, and
+    # x is updated in place.  A field may return a view of its argument, so
+    # each stage input has a buffer of its own and no k is ever written to.
+    y2, y3, y4, acc = (np.empty_like(x) for _ in range(4))
     # The guard is checked at grid points: an overflow between them turns the
     # state non-finite, which the next check catches.
     with np.errstate(all="ignore"):
@@ -203,16 +210,31 @@ def integrate_batch(
         for k, (h, n_sub) in enumerate(_substep_plan(grid, h_int)):
             h_half, h_sixth = 0.5 * h, h / 6.0
             for _ in range(n_sub):
+                # Each line is x + h_half * k1 and so on, reordered only
+                # where IEEE addition and multiplication commute.
                 k1 = f(thetas, x)
-                k2 = f(thetas, x + h_half * k1)
-                k3 = f(thetas, x + h_half * k2)
-                k4 = f(thetas, x + h * k3)
-                x = x + h_sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                np.multiply(k1, h_half, out=y2)
+                y2 += x
+                k2 = f(thetas, y2)
+                np.multiply(k2, h_half, out=y3)
+                y3 += x
+                k3 = f(thetas, y3)
+                np.multiply(k3, h, out=y4)
+                y4 += x
+                k4 = f(thetas, y4)
+                np.add(k2, k3, out=acc)
+                acc *= 2.0
+                acc += k1
+                acc += k4
+                acc *= h_sixth
+                x += acc
             _flag_bad(grid.points[k + 1])
             states[ok, k + 1] = x[ok]
 
     with np.errstate(all="ignore"):
         derivs = f(thetas[:, None, :], states)
+    if np.may_share_memory(derivs, states):
+        derivs = derivs.copy()
     derivs[~ok] = np.nan
     return states, derivs, ok, first_bad_time
 
@@ -259,6 +281,8 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.state_dim,):
         raise InvalidArgumentError(f"integrate: x0 must have shape ({system.state_dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidArgumentError("integrate: x0 must be finite")
     if grid is None:
         grid = TimeGrid.uniform(0.0, system.t_max, 100)
 
@@ -287,14 +311,20 @@ def estimate_derivatives(trajectory: Trajectory) -> np.ndarray:
     Central differences in the interior, one-sided second-order stencils at
     the two endpoints.  Requires at least three grid points.
     """
-    if trajectory.grid.n_points < 3:
+    return _stencil_derivatives(trajectory.states, trajectory.grid)
+
+
+def _stencil_derivatives(states: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The stencil of :func:`estimate_derivatives` along the time axis of a
+    (T, d) path or a (K, T, d) stack of paths on ``grid``."""
+    if grid.n_points < 3:
         raise InvalidArgumentError("estimate_derivatives: need at least 3 grid points")
-    h = trajectory.grid.spacing  # validates uniformity
-    y = trajectory.states
+    h = grid.spacing  # validates uniformity
+    y = states
     out = np.empty_like(y)
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-    out[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
+    out[..., 1:-1, :] = (y[..., 2:, :] - y[..., :-2, :]) / (2.0 * h)
+    out[..., 0, :] = (-3.0 * y[..., 0, :] + 4.0 * y[..., 1, :] - y[..., 2, :]) / (2.0 * h)
+    out[..., -1, :] = (3.0 * y[..., -1, :] - 4.0 * y[..., -2, :] + y[..., -3, :]) / (2.0 * h)
     return out
 
 

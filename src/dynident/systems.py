@@ -6,6 +6,12 @@ shape ``(..., N)`` and ``x`` with shape ``(..., d)`` combine under normal
 numpy rules and return ``(..., d)``, which lets the integrator and the
 estimators evaluate whole batches of parameter draws in one call.
 
+The returned array is either fresh or derived from the inputs (a view of
+``x`` is allowed).  A field must not keep ``x`` between calls: the
+integrator hands it buffers that it overwrites on the next step.  The
+multi-component catalog fields allocate their output once and write each
+component into it.
+
 Systems whose field is *linear* in ``theta`` (f = sum_i theta_i * phi_i(x))
 are declared ``linear``, enabling the closed-form least-squares estimator.
 Their basis is read off the field itself: phi_i(x) = f(e_i, x) for the unit
@@ -45,7 +51,9 @@ class OdeSystem:
         Human-readable description.
     field : callable
         ``field(theta, x) -> dx``, broadcasting as described in the module
-        docstring.
+        docstring.  ``dx`` is a fresh ``(..., d)`` array or one derived from
+        the inputs; ``x`` may be a buffer that the integrator reuses, so the
+        field must not keep it between calls.
     param_lo, param_hi : np.ndarray
         Componentwise bounds of the parameter box, ``param_lo < param_hi``.
     x0 : np.ndarray
@@ -137,48 +145,78 @@ def _autocatalysis(theta, x):
     return theta[..., 0:1] * x - theta[..., 1:2] * x**2
 
 
+def _field_out(theta, x):
+    """Uninitialised ``(..., d)`` output of a multi-component field: the
+    broadcast shape of ``theta[..., 0]`` and ``x[..., 0]``, then ``d``.
+
+    Fields write each component into it, which spares the copies of
+    stacking separately computed components.
+    """
+    shape = x.shape[:-1]
+    if theta.shape[:-1] != shape:
+        shape = np.broadcast_shapes(theta.shape[:-1], shape)
+    return np.empty((*shape, x.shape[-1]), dtype=np.result_type(theta, x, 1.0))
+
+
 def _harmonic(theta, x):
-    # Components without theta must still broadcast against batched theta.
     v, p = x[..., 1], x[..., 0]
-    return np.stack(np.broadcast_arrays(v, -theta[..., 0] * p), axis=-1)
+    out = _field_out(theta, x)
+    out[..., 0] = v
+    np.multiply(-theta[..., 0], p, out=out[..., 1])
+    return out
 
 
 def _damped_harmonic(theta, x):
     v, p = x[..., 1], x[..., 0]
-    return np.stack(
-        np.broadcast_arrays(v, -theta[..., 0] * p - theta[..., 1] * v), axis=-1
-    )
+    out = _field_out(theta, x)
+    out[..., 0] = v
+    np.subtract(-theta[..., 0] * p, theta[..., 1] * v, out=out[..., 1])
+    return out
 
 
 def _lotka_volterra(theta, x):
     prey, pred = x[..., 0], x[..., 1]
-    dprey = prey * (theta[..., 0] - theta[..., 1] * pred)
-    dpred = -pred * (theta[..., 2] - theta[..., 3] * prey)
-    return np.stack((dprey, dpred), axis=-1)
+    out = _field_out(theta, x)
+    np.multiply(prey, theta[..., 0] - theta[..., 1] * pred, out=out[..., 0])
+    np.multiply(-pred, theta[..., 2] - theta[..., 3] * prey, out=out[..., 1])
+    return out
 
 
 def _pendulum(theta, x):
     ang, vel = x[..., 0], x[..., 1]
-    return np.stack(np.broadcast_arrays(vel, -theta[..., 0] * np.sin(ang)), axis=-1)
+    out = _field_out(theta, x)
+    out[..., 0] = vel
+    np.multiply(-theta[..., 0], np.sin(ang), out=out[..., 1])
+    return out
 
 
 def _sir(theta, x):
     s, i = x[..., 0], x[..., 1]
     infect = theta[..., 0] * s * i
-    return np.stack((-infect, infect - theta[..., 1] * i), axis=-1)
+    out = _field_out(theta, x)
+    np.negative(infect, out=out[..., 0])
+    np.subtract(infect, theta[..., 1] * i, out=out[..., 1])
+    return out
 
 
 def _schnakenberg(theta, x):
     u, v = x[..., 0], x[..., 1]
     auto = u**2 * v
-    return np.stack((theta[..., 0] + auto - u, theta[..., 1] - auto), axis=-1)
+    out = _field_out(theta, x)
+    np.subtract(theta[..., 0] + auto, u, out=out[..., 0])
+    np.subtract(theta[..., 1], auto, out=out[..., 1])
+    return out
 
 
 def _lorenz(theta, x):
     a, b = x[..., 0], x[..., 1]
     c = x[..., 2]
     s, r, beta = theta[..., 0], theta[..., 1], theta[..., 2]
-    return np.stack((s * (b - a), r * a - a * c - b, -beta * c + a * b), axis=-1)
+    out = _field_out(theta, x)
+    np.multiply(s, b - a, out=out[..., 0])
+    np.subtract(r * a - a * c, b, out=out[..., 1])
+    np.add(-beta * c, a * b, out=out[..., 2])
+    return out
 
 
 def _seir(theta, x):
@@ -186,12 +224,12 @@ def _seir(theta, x):
     incubation, transmission, recovery = theta[..., 0], theta[..., 1], theta[..., 2]
     exposure = transmission * s * i
     activation = incubation * e
-    removal = recovery * i
-    ds = -exposure
-    de = exposure - activation
-    di = activation - removal
-    dr = removal
-    return np.stack((ds, de, di, dr), axis=-1)
+    out = _field_out(theta, x)
+    removal = np.multiply(recovery, i, out=out[..., 3])
+    np.negative(exposure, out=out[..., 0])
+    np.subtract(exposure, activation, out=out[..., 1])
+    np.subtract(activation, removal, out=out[..., 2])
+    return out
 
 
 def _cartpole(theta, x):
@@ -207,11 +245,16 @@ def _cartpole(theta, x):
     total = m_cart + m_pole
     sin_a, cos_a = np.sin(ang), np.cos(ang)
     temp = (_CARTPOLE_FORCE + m_pole * length * omega**2 * sin_a) / total
-    ang_acc = (_CARTPOLE_GRAVITY * sin_a - cos_a * temp) / (
-        length * (4.0 / 3.0 - m_pole * cos_a**2 / total)
+    out = _field_out(theta, x)
+    out[..., 0] = vel
+    out[..., 2] = omega
+    ang_acc = np.divide(
+        _CARTPOLE_GRAVITY * sin_a - cos_a * temp,
+        length * (4.0 / 3.0 - m_pole * cos_a**2 / total),
+        out=out[..., 3],
     )
-    lin_acc = temp - m_pole * length * ang_acc * cos_a / total
-    return np.stack(np.broadcast_arrays(vel, lin_acc, omega, ang_acc), axis=-1)
+    np.subtract(temp, m_pole * length * ang_acc * cos_a / total, out=out[..., 1])
+    return out
 
 
 CATALOG: dict[str, OdeSystem] = {}

@@ -75,3 +75,10 @@ def test_non_finite_derivatives_are_refused_by_trajectories_and_fits():
     for fit in (fit_closed_form, fit_derivative_matching):
         with pytest.raises(InvalidArgumentError, match="derivs for ode27 contain"):
             fit(s, traj, derivs=derivs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_refuses_a_non_finite_initial_condition(bad):
+    s = get_system("ode27")
+    with pytest.raises(InvalidArgumentError, match="integrate: x0 must be finite"):
+        integrate(s, s.param_midpoint, x0=np.array([1.0, bad]))

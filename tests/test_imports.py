@@ -1,10 +1,14 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and importing the CLI
+loads nothing beyond numpy and the parts of scipy the package uses.
 
-``__init__.py`` is left out: its imports are the public re-exports.  An
-import kept on purpose carries ``# noqa: F401`` on its line.
+``__init__.py`` is left out of the first check: its imports are the public
+re-exports.  An import kept on purpose carries ``# noqa: F401`` on its line.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,20 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path) == []
+
+
+def _loaded_modules(statement: str) -> set[str]:
+    code = f"import sys; {statement}; print('\\n'.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return set(run.stdout.split())
+
+
+def test_the_cli_loads_no_module_beyond_numpy_and_scipy():
+    """Start-up cost stays that of numpy and the scipy parts the package needs:
+    a new module-level import elsewhere shows here."""
+    baseline = _loaded_modules("import numpy, scipy.optimize, scipy.fft, scipy.linalg")
+    extra = _loaded_modules("import dynident.cli") - baseline
+    assert sorted(m for m in extra if m.split(".")[0] != "dynident") == []
