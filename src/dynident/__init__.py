@@ -9,7 +9,7 @@ Three layers:
   parameters one flat buffer, trained with closed-form gradients so its
   first latent block recovers exactly the parameters shared across
   paired views (``multiview``; ``autodiff`` holds Adam, the gradient check
-  and the reference tape the tests compare those gradients with);
+  and the tanh-MLP reference tape the tests compare those gradients with);
 * downstream evaluation — partition classification, nonlinear R² probes and
   doubly-robust treatment-effect estimation on learned latents (``causal``).
 """

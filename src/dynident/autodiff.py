@@ -1,13 +1,17 @@
 """Minimal reverse-mode automatic differentiation over dense arrays, plus
 Adam and a gradient check on flat parameter buffers.
 
-Tensors holding flat float64 buffers, a dozen differentiable operations,
-topological-sort backpropagation and Glorot-initialized MLPs.  No general
+Tensors holding flat float64 buffers, the nine differentiable operations
+that a tanh MLP and the multiview loss need, topological-sort
+backpropagation and Glorot-initialized tanh MLPs.  No general
 broadcasting, no views, no higher-order gradients — every operation states
 exactly what shapes it accepts.  The tests build the multiview loss from
 these operations as the reference for its closed-form gradients (see
 :mod:`dynident.multiview`), which train the model's flat parameter buffer
-with :func:`adam_step`.
+with :func:`adam_step`.  No training, evaluation or file code runs the
+tape.  It stays in the package, rather than beside the tests, only because
+the traced benchmark run (``benchmarks/layers.py``) patches
+:func:`mlp_forward` and :func:`backward` by name.
 
 Determinism: all computation is plain single-threaded numpy with a fixed
 reduction order, so repeated runs from the same seed are bit-identical.
@@ -22,8 +26,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .seeding import substream
-
-_ACTIVATIONS = ("relu", "tanh")
 
 
 class Tensor:
@@ -59,10 +61,6 @@ class Tensor:
         if self.data.size != 1:
             raise InvalidArgumentError("item() requires a single-element tensor")
         return float(self.data[0])
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
 
 
 def _node(values: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
@@ -121,17 +119,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.view() - b.view(), (a, b), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"mul: shapes differ ({a.shape} vs {b.shape})")
-
-    def vjp(g):
-        return g * b.data, g * a.data
-
-    return _node(a.view() * b.view(), (a, b), vjp)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -146,15 +133,6 @@ def square(a: Tensor) -> Tensor:
         return (2.0 * g * a.data,)
 
     return _node(a.view() ** 2, (a,), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _node(np.where(mask.reshape(a.shape), a.view(), 0.0), (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -172,25 +150,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.data.size, g[0]),)
 
     return _node(a.data.sum(), (a,), vjp)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def vjp(g):
-        return (np.full(n, g[0] / n),)
-
-    return _node(a.data.sum() / n, (a,), vjp)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise InvalidArgumentError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def vjp(g):
-        return (g,)
-
-    return _node(a.view().reshape(shape), (a,), vjp)
 
 
 def slice_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
@@ -291,18 +250,15 @@ def zero_grad(params: Sequence[Tensor]) -> None:
 
 @dataclass
 class MlpParams:
-    """Affine stack with a fixed activation between layers (none after the last).
+    """Affine stack with tanh between layers (none after the last).
 
     ``depth`` counts affine layers; weights[i] has shape (fan_in, fan_out).
     """
 
     weights: list
     biases: list
-    activation: str
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidArgumentError(f"activation must be one of {_ACTIVATIONS}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise InvalidArgumentError("weights and biases must pair up")
         for w, b, w_next in zip(self.weights, self.biases, self.weights[1:] + [None]):
@@ -319,24 +275,17 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
 
 def mlp_init(
     in_dim: int,
     out_dim: int,
     hidden_dim: int,
     depth: int,
-    activation: str = "tanh",
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> MlpParams:
     """Glorot-uniform weights (+/- sqrt(6 / (fan_in + fan_out))), zero biases."""
     if depth < 1:
         raise InvalidArgumentError("mlp_init: depth must be >= 1")
-    if rng is None:
-        rng = substream(0, "mlp-init")
     dims = [in_dim] + [hidden_dim] * (depth - 1) + [out_dim]
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -344,7 +293,7 @@ def mlp_init(
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         weights.append(Tensor(w, requires_grad=True))
         biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-    return MlpParams(weights=weights, biases=biases, activation=activation)
+    return MlpParams(weights=weights, biases=biases)
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
@@ -354,21 +303,13 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
         raise InvalidArgumentError(
             f"mlp_forward: input width {x.shape[1]} != expected {params.in_dim}"
         )
-    act = relu if params.activation == "relu" else tanh
     h = x
     last = params.depth - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = add(matmul(h, w), b)
         if i != last:
-            h = act(h)
+            h = tanh(h)
     return h
-
-
-def mlp_parameters(params: MlpParams) -> list[Tensor]:
-    out = []
-    for w, b in zip(params.weights, params.biases):
-        out.extend((w, b))
-    return out
 
 
 # ---------------------------------------------------------------------------

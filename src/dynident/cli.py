@@ -62,6 +62,7 @@ from .seeding import substream
 from .systems import CATALOG, CATALOG_VERSION, get_system, sample_parameters
 
 SCHEMA_VERSION = 1
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,8 @@ def _prototype_rows(raw):
         raise TypeError(f"expected ';'-separated rows or a list of rows, got {raw!r}")
     if not rows or not all(rows):
         raise ValueError(f"expected at least one non-empty row, got {raw!r}")
+    if not np.all(np.isfinite([v for row in rows for v in row])):
+        raise ValueError(f"expected finite numbers, got {raw!r}")
     if len({len(row) for row in rows}) > 1:
         raise ValueError(f"rows differ in length: {[len(row) for row in rows]}")
     return rows
@@ -166,6 +169,8 @@ def _coerce(key: str, opt: Opt, value):
     if opt.type is float:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if not abs(value) <= _FLOAT_MAX:  # also refuses nan, and ints past float range
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return float(value)
     if opt.type is str:
         if not isinstance(value, str):

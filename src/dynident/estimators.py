@@ -39,7 +39,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401 -- unused; benchmarks/layers.py patches it
+# Unused here: it stays only because benchmarks/layers.py patches
+# ``estimators.minimize`` by name, as it patches autodiff.mlp_forward and
+# autodiff.backward, which keep the reference tape in src/.  Moving the tape
+# beside the tests waits only on a change to the benchmark.
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import (
     EstimationFailureError,
@@ -489,8 +493,8 @@ def benchmark_rmse(
         raise InvalidArgumentError(f"unknown method {method!r}; expected one of {METHODS}")
     if n_draws < 1:
         raise InvalidArgumentError("benchmark_rmse: n_draws must be >= 1")
-    if noise < 0:
-        raise InvalidArgumentError("benchmark_rmse: noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise InvalidArgumentError("benchmark_rmse: noise must be finite and >= 0")
 
     reports = []
     for sid in system_ids:

@@ -201,7 +201,7 @@ def generate_multiview_dataset(
     Divergent rows are redrawn (private coordinates and initial condition
     only) a bounded number of times.
 
-    ``shared_prototypes`` — a (K, |S|) array — switches theta_S from uniform
+    ``shared_prototypes`` — a finite (K, |S|) array — switches theta_S from uniform
     box draws to uniformly sampled rows of the array; the chosen row index is
     recorded in ``labels`` for downstream classification probes.
     """
@@ -227,9 +227,9 @@ def generate_multiview_dataset(
         )
     else:
         protos = np.asarray(shared_prototypes, dtype=float)
-        if protos.ndim != 2 or protos.shape[1] != len(shared):
+        if protos.ndim != 2 or protos.shape[1] != len(shared) or not np.all(np.isfinite(protos)):
             raise InvalidArgumentError(
-                "generate_multiview_dataset: shared_prototypes must be (K, |S|)"
+                "generate_multiview_dataset: shared_prototypes must be a finite (K, |S|) array"
             )
         labels = rng_shared.integers(0, protos.shape[0], size=n_pairs)
         theta_shared = protos[labels]
@@ -317,10 +317,17 @@ def save_dataset(path, dataset: MultiviewDataset) -> None:
 
 
 def load_dataset(path) -> MultiviewDataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.
+
+    Raises :class:`FileFormatError` naming ``path`` unless the file is an
+    intact dataset archive whose arrays agree with ``meta.json`` and whose
+    ``shared_param_indices`` pass the checks of
+    :func:`generate_multiview_dataset` for its system, the rule
+    :func:`load_identifier` applies too.
+    """
     meta, arrays = _read_archive(path, _DATASET_KIND)
     try:
-        get_system(meta["system_id"])  # refuses an id outside the catalog
+        system = get_system(meta["system_id"])  # refuses an id outside the catalog
         dataset = MultiviewDataset(
             system_id=meta["system_id"],
             shared_param_indices=tuple(meta["shared_param_indices"]),
@@ -329,6 +336,9 @@ def load_dataset(path) -> MultiviewDataset:
             thetas=arrays["thetas"],
             x0s=arrays["x0s"],
             labels=arrays.get("labels"),
+        )
+        dataset.shared_param_indices = _shared_index_set(
+            dataset.shared_param_indices, system, "shared_param_indices"
         )
     except (LookupError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed multiview dataset file ({exc})") from exc
@@ -393,9 +403,9 @@ class IdentifierConfig:
             ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
             ("depth", self.depth >= 1, "must be >= 1"),
             ("n_init", self.n_init >= 1, "must be >= 1"),
-            ("reg_align", self.reg_align >= 0, "must be >= 0"),
+            ("reg_align", 0 <= self.reg_align < np.inf, "must be finite and >= 0"),
             ("decoder", self.decoder in ("direct", "field"), "must be one of direct, field"),
-            ("lr", self.lr > 0, "must be > 0"),
+            ("lr", 0 < self.lr < np.inf, "must be finite and > 0"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
         ):

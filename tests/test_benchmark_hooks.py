@@ -5,6 +5,12 @@ example ``autodiff.adam_step`` and ``multiview.encode``).  A refactor that
 renames or removes one would otherwise surface only as an AttributeError in
 ``benchmarks/run.py --trace 1``.  The benchmark files are imported as they
 are, never edited.
+
+Some names stay in ``src/`` only because ``layers.py`` patches them:
+``autodiff.mlp_forward`` and ``autodiff.backward``, which no training,
+evaluation or file code calls, and ``estimators.minimize``, which nothing
+calls.  Moving the reference tape beside the tests therefore waits only on
+a change to the benchmark.
 """
 
 import importlib

@@ -676,6 +676,52 @@ def test_x0_jitter_outside_the_unit_interval_exits_1(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prototypes", ["nan,1.0", "inf,1.0;1.0,1.0", [[1.0, float("nan")]]])
+def test_non_finite_prototypes_exit_1(tmp_path, capsys, prototypes):
+    """A non-finite prototype is refused as a config error, not left to
+    fail every trajectory until the redraws run out."""
+    out = tmp_path / "p.npz"
+    argv = ["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "4", "--out", str(out)]
+    if isinstance(prototypes, str):
+        argv += ["--prototypes", prototypes]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"prototypes": prototypes}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert err.startswith("dynident: config: prototypes: expected finite numbers, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["bench", "--systems", "ode2", "--draws", "3"], "--noise", "inf"),
+    (["bench", "--systems", "ode2", "--draws", "3"], "--noise", "nan"),
+    (["simulate", "--system", "ode2"], "--t-max", "inf"),
+    (["synth-mv", "--system", "ode27", "--shared", "0,1", "--pairs", "4"], "--t-max", "inf"),
+    (["train-mv", "--epochs", "1"], "--lr", "inf"),
+    (["train-mv", "--epochs", "1"], "--reg-align", "inf"),
+])
+def test_non_finite_number_exits_1_naming_the_key(tmp_path_factory, capsys, command, flag, value):
+    """A range check such as ``>= 0`` lets inf through, so a numeric flag or
+    config value that is not finite is refused by name before anything runs
+    or is written."""
+    root = tmp_path_factory.mktemp("finite")
+    out = root / "out.npz"
+    if command[0] == "train-mv":
+        command = command + ["--data", str(_pipeline_files(tmp_path_factory)["data"])]
+    key = flag[2:].replace("-", "_")
+    (root / "cfg.json").write_text(json.dumps({key: float(value)}))
+    for argv in (command + [flag, value], command + ["--config", str(root / "cfg.json")]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"dynident: config: {key}: expected a finite number, got {float(value)!r}\n"
+        )
+        assert not out.exists()
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     rc = main(["train-mv", "--data", str(tmp_path / "absent.npz"),
                "--out", str(tmp_path / "m.npz")])
@@ -813,13 +859,14 @@ def test_unknown_system_id_in_dataset_or_model_exits_2(tmp_path_factory, capsys)
 
 @pytest.mark.parametrize(
     "key, value", [("depth", 2.0), ("hidden_dim", 8.0), ("n_init", 1.0),
-                   ("block_sizes", [2.0, 2.0])],
+                   ("block_sizes", [2.0, 2.0]), ("lr", float("inf")), ("reg_align", float("inf"))],
 )
 def test_model_config_of_the_wrong_type_exits_2_naming_the_key(
     tmp_path_factory, capsys, key, value
 ):
-    """A float where the model's config holds an int is refused on load, not
-    truncated and not left to fail inside the arithmetic."""
+    """A float where the model's config holds an int, or a non-finite float,
+    is refused on load, not truncated and not left to fail inside the
+    arithmetic."""
     files = _pipeline_files(tmp_path_factory)
     meta, arrays = _read_archive(files["model"], "multiview-model")
     meta["config"][key] = value
@@ -892,6 +939,29 @@ def test_bad_shared_indices_in_a_model_exit_2(tmp_path_factory, capsys, value, r
     assert err.count("\n") == 1
     assert err.startswith(f"dynident: io: {model}: malformed model file ({reason}")
     assert not model.with_name("e.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [([], "shared_param_indices: bad shared index set"),
+     ([0, 0], "shared_param_indices: bad shared index set"),
+     ([0, 1, 2, 3], "shared_param_indices: S covers every parameter")],
+)
+def test_bad_shared_indices_in_a_dataset_exit_2(tmp_path_factory, capsys, value, reason):
+    """A dataset's S meets the rule a model's S meets, so train-mv refuses a
+    dataset whose model eval would refuse."""
+    files = _pipeline_files(tmp_path_factory)
+    meta, arrays = _read_archive(files["data"], "multiview-dataset")
+    meta["shared_param_indices"] = value
+    data = tmp_path_factory.mktemp("shared") / "pairs.npz"
+    _write_archive(data, "multiview-dataset", meta, arrays)
+    capsys.readouterr()
+    rc = main(["train-mv", "--data", str(data), "--out", str(data.with_name("m.npz"))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"dynident: io: {data}: malformed multiview dataset file ({reason}")
+    assert not data.with_name("m.npz").exists()
 
 
 def test_schema_2_per_layer_model_exits_2_asking_to_retrain(tmp_path_factory, capsys):

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from dynident import (
+    ConfigError,
+    IdentifierConfig,
     InvalidArgumentError,
     TimeGrid,
     Trajectory,
     aipw_ate,
+    benchmark_rmse,
     fit_closed_form,
     fit_derivative_matching,
     fit_trajectory_matching,
+    generate_multiview_dataset,
     get_system,
     integrate,
     latent_r2,
@@ -82,3 +86,16 @@ def test_integrate_refuses_a_non_finite_initial_condition(bad):
     s = get_system("ode27")
     with pytest.raises(InvalidArgumentError, match="integrate: x0 must be finite"):
         integrate(s, s.param_midpoint, x0=np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_settings_are_refused(bad):
+    """A non-finite setting fails no ``>=`` check by itself: each one is
+    refused by name, before anything is integrated or trained."""
+    for key in ("lr", "reg_align"):
+        with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+            IdentifierConfig(**{key: bad})
+    with pytest.raises(InvalidArgumentError, match="noise must be finite"):
+        benchmark_rmse(["ode2"], 3, "deriv", seed=0, noise=bad)
+    with pytest.raises(InvalidArgumentError, match="shared_prototypes must be a finite"):
+        generate_multiview_dataset("ode27", 4, 0, (0, 1), shared_prototypes=[[1.0, bad]])

@@ -80,7 +80,6 @@ def _tape_networks(model):
             MlpParams(
                 weights=[layer[v] for layer in layers[0::2]],
                 biases=[layer[v] for layer in layers[1::2]],
-                activation="tanh",
             )
             for v in range(model.n_views)
         ])
@@ -969,6 +968,16 @@ def test_archive_refuses_wrong_kind_missing_members_and_wrong_dtypes(tmp_path):
     _write_archive(tmp_path / "no-params.npz", "multiview-model", meta, arrays)
     with pytest.raises(FileFormatError, match=r"missing params\.npy"):
         load_identifier(tmp_path / "no-params.npz")
+
+
+def test_dataset_shared_indices_load_sorted(tmp_path):
+    """load_dataset applies the rule that load_identifier and the generator
+    apply, which also sorts a hand-edited S."""
+    path = tmp_path / "pairs.npz"
+    save_dataset(path, _archive_dataset(2))
+    meta, arrays = _read_archive(path, "multiview-dataset")
+    _write_archive(path, "multiview-dataset", {**meta, "shared_param_indices": [1, 0]}, arrays)
+    assert load_dataset(path).shared_param_indices == (0, 1)
 
 
 def test_archive_entries_carry_the_fixed_timestamp(tmp_path):
